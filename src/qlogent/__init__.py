@@ -1,5 +1,8 @@
 """Logical entropies of classical partitions and quantum states."""
 
+# set before the submodule imports: reports reads it while the package loads
+__version__ = "0.1.0"
+
 from .channels import (
     InteractionBlocks,
     Povm,
@@ -16,7 +19,6 @@ from .linalg import (
     HermitianEigenSystem,
     hermitian_eig,
     majorizes,
-    partial_trace,
     psd_sqrt,
     tensor_product,
 )
@@ -59,5 +61,3 @@ from .states import (
     pvm_logical_entropy,
     relative_logical_entropy,
 )
-
-__version__ = "0.1.0"

@@ -10,12 +10,10 @@ from .linalg import (
     DimensionMismatchError,
     hermitian_eig,
     hermitian_eigvals,
-    partial_trace,
     psd_sqrt,
-    require_hermitian,
     tensor_product,
 )
-from .states import DensityMatrix, Pvm, ValidationError, logical_entropy
+from .states import DensityMatrix, ValidationError
 
 
 class UnitalChannel:
@@ -23,19 +21,17 @@ class UnitalChannel:
 
     __slots__ = ("kraus_ops",)
 
-    def __init__(self, kraus_ops, *, validate: bool = True):
+    def __init__(self, kraus_ops):
         kraus_ops = [la.as_matrix(k) for k in kraus_ops]
         if not kraus_ops:
             raise ValidationError("channel needs at least one Kraus operator")
-        dim = kraus_ops[0].shape[0]
-        if validate:
-            eye = np.eye(dim)
-            tp = sum(k.conj().T @ k for k in kraus_ops)
-            un = sum(k @ k.conj().T for k in kraus_ops)
-            if np.max(np.abs(tp - eye)) > HERMITICITY_TOL:
-                raise ValidationError("Kraus operators are not trace-preserving")
-            if np.max(np.abs(un - eye)) > HERMITICITY_TOL:
-                raise ValidationError("Kraus operators are not unital")
+        eye = np.eye(kraus_ops[0].shape[0])
+        tp = sum(k.conj().T @ k for k in kraus_ops)
+        un = sum(k @ k.conj().T for k in kraus_ops)
+        if np.max(np.abs(tp - eye)) > HERMITICITY_TOL:
+            raise ValidationError("Kraus operators are not trace-preserving")
+        if np.max(np.abs(un - eye)) > HERMITICITY_TOL:
+            raise ValidationError("Kraus operators are not unital")
         self.kraus_ops = tuple(kraus_ops)
 
     @property
@@ -48,19 +44,17 @@ class Povm:
 
     __slots__ = ("effects",)
 
-    def __init__(self, effects, *, validate: bool = True):
+    def __init__(self, effects):
         effects = [la.as_matrix(e) for e in effects]
         if not effects:
             raise ValidationError("POVM needs at least one effect")
         dim = effects[0].shape[0]
-        if validate:
-            total = np.zeros((dim, dim), dtype=complex)
-            for e in effects:
-                require_hermitian(e)
-                la.clamp_psd_eigvals(hermitian_eigvals(e))
-                total += e
-            if np.max(np.abs(total - np.eye(dim))) > HERMITICITY_TOL:
-                raise ValidationError("effects do not sum to identity")
+        total = np.zeros((dim, dim), dtype=complex)
+        for e in effects:
+            la.clamp_psd_eigvals(hermitian_eigvals(e))
+            total += e
+        if np.max(np.abs(total - np.eye(dim))) > HERMITICITY_TOL:
+            raise ValidationError("effects do not sum to identity")
         self.effects = tuple(effects)
 
     @property
@@ -77,9 +71,6 @@ class InteractionBlocks:
         self.blocks = blocks  # shape (dim_r, dim_r, dim_s, dim_s)
         self.dim_s = dim_s
         self.dim_r = dim_r
-
-    def block(self, i: int, j: int) -> np.ndarray:
-        return self.blocks[i, j]
 
     def reduced_first_factor(self) -> np.ndarray:
         """sum_i B_ii, the reduced state of the first factor."""
@@ -103,10 +94,6 @@ def povm_unital_implementation(povm: Povm) -> UnitalChannel:
     corruption and is raised as-is.
     """
     return UnitalChannel([psd_sqrt(e) for e in povm.effects])
-
-
-def pvm_dephasing_channel(pvm: Pvm) -> UnitalChannel:
-    return UnitalChannel(list(pvm.blocks), validate=False)
 
 
 def purify(rho: DensityMatrix) -> np.ndarray:

@@ -1,12 +1,15 @@
 """Dense complex linear algebra primitives for small dimensions (d <= 64).
 
-All matrices are square numpy arrays of complex128.  The eigensolver is a
-cyclic Jacobi sweep, chosen for bit-level reproducibility across platforms
-rather than speed.
+All matrices are square numpy arrays of complex128.  Hermitian spectra come
+from LAPACK (numpy.linalg.eigh / eigvalsh).  The eigensolvers refuse d above
+MAX_EIG_DIM: up to d = 64 their output was bit-identical under 1, 2 and 4
+BLAS threads (OpenBLAS 0.3.31, numpy 2.4.6), at d = 128 it was not, and
+reports must be byte-identical across thread settings.
 """
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -15,9 +18,7 @@ HERMITICITY_TOL = 1e-9
 PSD_TOL = 1e-9
 RECON_TOL = 1e-9
 EQ_TOL = 1e-9
-
-_JACOBI_OFF_TOL = 1e-14
-_JACOBI_MAX_SWEEPS = 100
+MAX_EIG_DIM = 64
 
 
 class DimensionMismatchError(ValueError):
@@ -64,93 +65,17 @@ def tensor_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.kron(as_matrix(a), as_matrix(b))
 
 
-def tensor_many(*mats: np.ndarray) -> np.ndarray:
-    out = as_matrix(mats[0])
-    for m in mats[1:]:
-        out = np.kron(out, as_matrix(m))
-    return out
-
-
-def partial_trace(m: np.ndarray, dim_a: int, dim_b: int, keep: str) -> np.ndarray:
-    """Trace out one factor of a bipartite matrix; keep is 'A' or 'B'."""
-    m = as_matrix(m)
-    if m.shape[0] != dim_a * dim_b:
-        raise DimensionMismatchError(
-            f"matrix dim {m.shape[0]} != {dim_a}*{dim_b}"
-        )
-    t = m.reshape(dim_a, dim_b, dim_a, dim_b)
-    if keep == "A":
-        return np.einsum("ikjk->ij", t)
-    if keep == "B":
-        return np.einsum("kikj->ij", t)
-    raise ValueError(f"keep must be 'A' or 'B', got {keep!r}")
-
-
 def reduce_state(m: np.ndarray, dims: list[int], keep: list[int]) -> np.ndarray:
     """Partial trace over all factors not listed in keep (multipartite form)."""
     m = as_matrix(m)
-    n = len(dims)
-    total = 1
-    for d in dims:
-        total *= d
-    if m.shape[0] != total:
+    if m.shape[0] != math.prod(dims):
         raise DimensionMismatchError(f"matrix dim {m.shape[0]} != prod{dims}")
     keep = sorted(keep)
-    t = m.reshape(*dims, *dims)
-    row = list(range(n))
+    n = len(dims)
     col = [i + n if i in keep else i for i in range(n)]
-    out_idx = [i for i in keep] + [i + n for i in keep]
-    t = np.einsum(t, row + col, out_idx)
-    kept = 1
-    for i in keep:
-        kept *= dims[i]
+    t = np.einsum(m.reshape(*dims, *dims), [*range(n), *col], keep + [i + n for i in keep])
+    kept = math.prod(dims[i] for i in keep)
     return t.reshape(kept, kept)
-
-
-def _jacobi_rotate(a: np.ndarray, v: np.ndarray | None, p: int, q: int) -> None:
-    z = a[p, q]
-    m = abs(z)
-    if m == 0.0:
-        return
-    w = z / m
-    theta = (a[q, q].real - a[p, p].real) / (2.0 * m)
-    if theta >= 0.0:
-        t = 1.0 / (theta + np.sqrt(theta * theta + 1.0))
-    else:
-        t = -1.0 / (-theta + np.sqrt(theta * theta + 1.0))
-    c = 1.0 / np.sqrt(t * t + 1.0)
-    s = t * c
-    r = np.array([[w * c, w * s], [-s, c]], dtype=complex)
-    idx = [p, q]
-    a[:, idx] = a[:, idx] @ r
-    a[idx, :] = r.conj().T @ a[idx, :]
-    # kill rounding drift that the rotation is supposed to annihilate
-    a[p, q] = 0.0
-    a[q, p] = 0.0
-    a[p, p] = a[p, p].real
-    a[q, q] = a[q, q].real
-    if v is not None:
-        v[:, idx] = v[:, idx] @ r
-
-
-def _off_norm(a: np.ndarray) -> float:
-    off = a - np.diag(np.diag(a))
-    return float(np.sqrt(np.sum(np.abs(off) ** 2)))
-
-
-def _jacobi(m: np.ndarray, want_vectors: bool) -> tuple[np.ndarray, np.ndarray | None]:
-    a = m.copy()
-    n = a.shape[0]
-    v = np.eye(n, dtype=complex) if want_vectors else None
-    scale = max(1.0, float(np.sqrt(np.sum(np.abs(a) ** 2))))
-    for _ in range(_JACOBI_MAX_SWEEPS):
-        if _off_norm(a) <= _JACOBI_OFF_TOL * scale:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                if abs(a[p, q]) > _JACOBI_OFF_TOL * scale / (n * n):
-                    _jacobi_rotate(a, v, p, q)
-    return np.real(np.diag(a)), v
 
 
 def _fix_phases(vectors: np.ndarray) -> np.ndarray:
@@ -165,24 +90,30 @@ def _fix_phases(vectors: np.ndarray) -> np.ndarray:
     return out
 
 
-def hermitian_eig(m: np.ndarray) -> HermitianEigenSystem:
-    """Eigendecomposition of a Hermitian matrix via cyclic Jacobi sweeps.
-
-    Deterministic for a fixed input: fixed sweep order, eigenvalues sorted
-    non-increasing (stable), each eigenvector phased so its largest-magnitude
-    component is real positive.
-    """
+def _eig_input(m: np.ndarray) -> np.ndarray:
     m = require_hermitian(m)
-    values, vectors = _jacobi(m, want_vectors=True)
+    if m.shape[0] > MAX_EIG_DIM:
+        raise DimensionMismatchError(
+            f"dimension {m.shape[0]} exceeds the eigensolver limit {MAX_EIG_DIM}"
+        )
+    return m
+
+
+def hermitian_eig(m: np.ndarray) -> HermitianEigenSystem:
+    """Eigendecomposition of a Hermitian matrix of dimension at most MAX_EIG_DIM.
+
+    Deterministic for a fixed input: eigenvalues sorted non-increasing
+    (stable), each eigenvector phased so its largest-magnitude component is
+    real positive.
+    """
+    values, vectors = np.linalg.eigh(_eig_input(m))
     order = np.argsort(-values, kind="stable")
     return HermitianEigenSystem(values[order], _fix_phases(vectors[:, order]))
 
 
 def hermitian_eigvals(m: np.ndarray) -> np.ndarray:
     """Eigenvalues only, sorted non-increasing."""
-    m = require_hermitian(m)
-    values, _ = _jacobi(m, want_vectors=False)
-    return np.sort(values)[::-1]
+    return np.linalg.eigvalsh(_eig_input(m))[::-1]
 
 
 def clamp_psd_eigvals(values: np.ndarray, tol: float = PSD_TOL) -> np.ndarray:

@@ -9,6 +9,7 @@ import numpy as np
 from . import linalg as la
 from .channels import apply_channel, interaction_blocks, prop6_bounds
 from .partitions import distribution_logical_entropy
+from .reports import matrix_to_pairs
 from .sampling import (
     rng_for,
     sample_density,
@@ -26,9 +27,7 @@ from .states import (
     logical_divergence,
     logical_divergence_definitional,
     logical_entropy,
-    measured_state,
     outcome_probabilities,
-    pvm_logical_entropy,
     relative_logical_entropy,
 )
 
@@ -54,6 +53,8 @@ class SamplerConfig:
             raise ValueError("trials must be >= 1")
         if any(d < 2 for d in self.dims):
             raise ValueError("every dim must be >= 2")
+        if not 0.0 <= self.tolerance < float("inf"):
+            raise ValueError(f"tolerance must be finite and >= 0, got {self.tolerance}")
 
 
 @dataclass
@@ -383,7 +384,7 @@ def strong_subadditivity_search(cfg: SamplerConfig) -> PropositionResult:
                         "trial": trial,
                         "violation": gap,
                         "dims": [2, 2, 2],
-                        "matrix": _matrix_to_pairs(rho.mat),
+                        "matrix": matrix_to_pairs(rho.mat),
                     },
                 )
     return PropositionResult(
@@ -394,10 +395,6 @@ def strong_subadditivity_search(cfg: SamplerConfig) -> PropositionResult:
         status=STATUS_NOT_FOUND,
         note=f"no violation above {SSA_MIN_VIOLATION} in {cfg.trials} trials",
     )
-
-
-def _matrix_to_pairs(m: np.ndarray) -> list:
-    return [[[float(z.real), float(z.imag)] for z in row] for row in m]
 
 
 def two_draw_quantum_mc(

@@ -4,14 +4,15 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
 
 import numpy as np
 
+from . import __version__
 from . import linalg as la
 from .states import DensityMatrix, Pvm
 
 TOOL_NAME = "qlogent"
-TOOL_VERSION = "0.1.0"
 
 
 class ParseError(ValueError):
@@ -31,12 +32,19 @@ def vector_to_pairs(v: np.ndarray) -> list:
 
 
 def _pair_to_complex(entry) -> complex:
+    # the bound rejects NaN, +-Infinity (json.loads accepts them) and integers
+    # too large for a float
     if (
         not isinstance(entry, (list, tuple))
         or len(entry) != 2
-        or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in entry)
+        or not all(
+            isinstance(x, (int, float))
+            and not isinstance(x, bool)
+            and abs(x) <= sys.float_info.max
+            for x in entry
+        )
     ):
-        raise ParseError(f"expected an [re, im] pair, got {entry!r}")
+        raise ParseError(f"expected an [re, im] pair of finite numbers, got {entry!r}")
     return complex(entry[0], entry[1])
 
 
@@ -73,12 +81,12 @@ def load_matrix_file(path: str) -> dict:
     if not isinstance(doc, dict) or "kind" not in doc or "matrix" not in doc:
         raise ParseError(f"{path}: expected an object with 'kind' and 'matrix'")
     kind = doc["kind"]
-    if kind not in ("density", "unitary", "projector", "vector"):
+    if kind not in ("density", "vector"):
         raise ParseError(f"{path}: unknown kind {kind!r}")
     dims = doc.get("dims")
     if dims is not None:
         if not isinstance(dims, list) or not all(
-            isinstance(d, int) and d >= 1 for d in dims
+            isinstance(d, int) and not isinstance(d, bool) and d >= 1 for d in dims
         ):
             raise ParseError(f"{path}: dims must be a list of positive integers")
         dims = tuple(dims)
@@ -109,8 +117,15 @@ def pvm_from_file(path: str) -> tuple[Pvm, str]:
         doc = json.loads(raw)
     except (OSError, json.JSONDecodeError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
-    if not isinstance(doc, dict) or doc.get("kind") != "pvm" or "blocks" not in doc:
-        raise ParseError(f"{path}: expected an object with kind 'pvm' and 'blocks'")
+    if (
+        not isinstance(doc, dict)
+        or doc.get("kind") != "pvm"
+        or not isinstance(doc.get("blocks"), list)
+        or not doc["blocks"]
+    ):
+        raise ParseError(
+            f"{path}: expected an object with kind 'pvm' and a non-empty 'blocks' list"
+        )
     blocks = [pairs_to_matrix(b) for b in doc["blocks"]]
     return Pvm(blocks), _digest(raw)
 
@@ -204,5 +219,5 @@ def run_report(
         "results": results,
         "warnings": warnings or [],
         "seed": seed,
-        "tool": {"name": TOOL_NAME, "version": TOOL_VERSION},
+        "tool": {"name": TOOL_NAME, "version": __version__},
     }

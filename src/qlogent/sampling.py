@@ -9,13 +9,19 @@ from __future__ import annotations
 
 import numpy as np
 
-_PHILOX_KEY_MASK = (1 << 64) - 1
+_PHILOX_KEY_LIMIT = 1 << 64
 
 
 def rng_for(seed: int, *stream: int) -> np.random.Generator:
-    """Independent generator for one (seed, stream) cell of the trial grid."""
-    key = np.uint64(seed & _PHILOX_KEY_MASK)
-    bits = [np.uint64(s & _PHILOX_KEY_MASK) for s in stream]
+    """Independent generator for one (seed, stream) cell of the trial grid.
+
+    The seed is the 64-bit Philox key; seeds outside [0, 2^64) are rejected
+    rather than wrapped, so no two seeds alias.
+    """
+    if not 0 <= seed < _PHILOX_KEY_LIMIT:
+        raise ValueError(f"seed {seed} is outside the Philox key range [0, 2^64)")
+    key = np.uint64(seed)
+    bits = [np.uint64(s) for s in stream]
     while len(bits) < 3:
         bits.append(np.uint64(0))
     counter = np.zeros(4, dtype=np.uint64)
@@ -68,18 +74,7 @@ def sample_pvm(seed: int, dim: int, groups: list[int] | None = None, *stream: in
     """Random PVM from a Haar basis, optionally coarse-grained into groups."""
     from .states import Pvm
 
-    if groups is None:
-        groups = [1] * dim
-    if sum(groups) != dim or any(g < 1 for g in groups):
-        raise ValueError(f"groups {groups} do not partition dimension {dim}")
-    u = sample_unitary(seed, dim, 0x9B, *stream)
-    blocks = []
-    start = 0
-    for g in groups:
-        cols = u[:, start:start + g]
-        blocks.append(cols @ cols.conj().T)
-        start += g
-    return Pvm(blocks)
+    return Pvm.from_basis(sample_unitary(seed, dim, 0x9B, *stream), groups)
 
 
 def sample_mixture_weights(seed: int, count: int, *stream: int) -> np.ndarray:

@@ -12,8 +12,8 @@ from .linalg import (
     DimensionMismatchError,
     hermitian_eig,
     hermitian_eigvals,
-    partial_trace,
     psd_sqrt,
+    reduce_state,
     require_hermitian,
     tensor_product,
 )
@@ -51,10 +51,14 @@ class DensityMatrix:
 
     @staticmethod
     def _validated(mat: np.ndarray) -> np.ndarray:
-        defect = la.hermiticity_defect(mat)
+        # entries near the float limit overflow here; the finiteness check says so
+        with np.errstate(over="ignore", invalid="ignore"):
+            defect = la.hermiticity_defect(mat)
+            mat = (mat + mat.conj().T) / 2
         if defect > HERMITICITY_TOL:
             raise ValidationError(f"not Hermitian: defect {defect:.3e}")
-        mat = (mat + mat.conj().T) / 2
+        if not np.isfinite(mat).all():
+            raise ValidationError("matrix has non-finite entries")
         tr = float(np.trace(mat).real)
         if abs(tr - 1.0) > TRACE_TOL:
             raise ValidationError(f"trace {tr} differs from 1 beyond {TRACE_TOL:.1e}")
@@ -85,8 +89,12 @@ class DensityMatrix:
         return hermitian_eigvals(self.mat)
 
     def reduced(self, keep: str) -> "DensityMatrix":
-        da, db = self.bipartite_dims()
-        return DensityMatrix.trusted(partial_trace(self.mat, da, db, keep))
+        """Reduced state of factor 'A' or 'B' of a bipartite state."""
+        if keep not in ("A", "B"):
+            raise ValueError(f"keep must be 'A' or 'B', got {keep!r}")
+        return DensityMatrix.trusted(
+            reduce_state(self.mat, self.bipartite_dims(), [0 if keep == "A" else 1])
+        )
 
     @classmethod
     def pure(cls, vec, dims: tuple[int, ...] | None = None) -> "DensityMatrix":
@@ -107,26 +115,29 @@ class Pvm:
 
     __slots__ = ("blocks", "non_degenerate")
 
-    def __init__(self, blocks, *, validate: bool = True):
+    def __init__(self, blocks):
         blocks = [la.as_matrix(b) for b in blocks]
         if not blocks:
             raise ValidationError("PVM needs at least one block")
         dim = blocks[0].shape[0]
-        if validate:
-            total = np.zeros((dim, dim), dtype=complex)
-            for i, b in enumerate(blocks):
-                if b.shape[0] != dim:
-                    raise DimensionMismatchError("PVM blocks of mixed dimension")
-                require_hermitian(b)
-                if np.max(np.abs(b @ b - b)) > HERMITICITY_TOL:
-                    raise ValidationError(f"block {i} not idempotent")
-                total += b
-            if np.max(np.abs(total - np.eye(dim))) > HERMITICITY_TOL:
-                raise ValidationError("PVM blocks do not sum to identity")
-            for i in range(len(blocks)):
-                for j in range(i + 1, len(blocks)):
-                    if np.max(np.abs(blocks[i] @ blocks[j])) > HERMITICITY_TOL:
-                        raise ValidationError(f"blocks {i},{j} not orthogonal")
+        total = np.zeros((dim, dim), dtype=complex)
+        for i, b in enumerate(blocks):
+            if b.shape[0] != dim:
+                raise DimensionMismatchError("PVM blocks of mixed dimension")
+            # a projector's entries are at most 1 in magnitude; the bound also
+            # rejects NaN and inf and keeps the products below from overflowing
+            if not np.abs(b).max() <= 1.0 + HERMITICITY_TOL:
+                raise ValidationError(f"block {i} has non-finite entries or entries above 1")
+            require_hermitian(b)
+            if np.max(np.abs(b @ b - b)) > HERMITICITY_TOL:
+                raise ValidationError(f"block {i} not idempotent")
+            total += b
+        if np.max(np.abs(total - np.eye(dim))) > HERMITICITY_TOL:
+            raise ValidationError("PVM blocks do not sum to identity")
+        for i in range(len(blocks)):
+            for j in range(i + 1, len(blocks)):
+                if np.max(np.abs(blocks[i] @ blocks[j])) > HERMITICITY_TOL:
+                    raise ValidationError(f"blocks {i},{j} not orthogonal")
         self.blocks = tuple(blocks)
         self.non_degenerate = all(
             abs(float(np.trace(b).real) - 1.0) <= TRACE_TOL for b in blocks
@@ -162,12 +173,7 @@ class Pvm:
 
     @classmethod
     def trivial(cls, dim: int) -> "Pvm":
-        return cls([np.eye(dim, dtype=complex)], validate=False)
-
-    def lift_to_first_factor(self, dim_b: int) -> "Pvm":
-        """Blocks B_k otimes I_B, for measuring subsystem A of a bipartite state."""
-        eye_b = np.eye(dim_b, dtype=complex)
-        return Pvm([tensor_product(b, eye_b) for b in self.blocks], validate=False)
+        return cls([np.eye(dim, dtype=complex)])
 
 
 def _check_same_dim(a: DensityMatrix, b: DensityMatrix) -> None:
@@ -252,14 +258,16 @@ def logical_divergence_definitional(rho: DensityMatrix, sigma: DensityMatrix) ->
     return 2.0 * (1.0 - cross) - logical_entropy(rho) - logical_entropy(sigma)
 
 
+def _reference_state(rho_ab: DensityMatrix) -> DensityMatrix:
+    """I/d_A otimes rho_B, the reference of the relative logical entropy."""
+    da, db = rho_ab.bipartite_dims()
+    eye_a = np.eye(da, dtype=complex) / da
+    return DensityMatrix.trusted(tensor_product(eye_a, rho_ab.reduced("B").mat), (da, db))
+
+
 def relative_logical_entropy(rho_ab: DensityMatrix) -> float:
     """L(rho_AB) - L(I/d otimes rho_B) for a bipartite state."""
-    da, db = rho_ab.bipartite_dims()
-    rho_b = rho_ab.reduced("B")
-    ref = DensityMatrix.trusted(
-        tensor_product(np.eye(da, dtype=complex) / da, rho_b.mat), (da, db)
-    )
-    return logical_entropy(rho_ab) - logical_entropy(ref)
+    return logical_entropy(rho_ab) - logical_entropy(_reference_state(rho_ab))
 
 
 def relative_entropy_report(rho_ab: DensityMatrix) -> dict:
@@ -268,11 +276,7 @@ def relative_entropy_report(rho_ab: DensityMatrix) -> dict:
     The -1 factor is what the definitions themselves give; the -1/4 factor is
     also reported so a reader can see which one matches numerically.
     """
-    da, db = rho_ab.bipartite_dims()
-    rho_b = rho_ab.reduced("B")
-    ref = DensityMatrix.trusted(
-        tensor_product(np.eye(da, dtype=complex) / da, rho_b.mat), (da, db)
-    )
+    ref = _reference_state(rho_ab)
     value = logical_entropy(rho_ab) - logical_entropy(ref)
     div = logical_divergence(rho_ab, ref)
     return {
@@ -314,7 +318,7 @@ def conditional_states(
     for a_k in pvm_on_a.blocks:
         proj = tensor_product(a_k, eye_b)
         sandwiched = proj @ rho_ab.mat @ proj
-        m_k = partial_trace(sandwiched, da, db, "B")
+        m_k = reduce_state(sandwiched, [da, db], [1])
         p_k = float(np.real(np.trace(m_k)))
         if p_k > OUTCOME_EPS:
             out.append((p_k, DensityMatrix.trusted((m_k + m_k.conj().T) / 2 / p_k)))

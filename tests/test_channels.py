@@ -97,13 +97,13 @@ class TestPurify:
         rho = qs.DensityMatrix.maximally_mixed(2)
         psi = ch.purify(rho)
         joint = np.outer(psi, psi.conj())
-        assert np.max(np.abs(la.partial_trace(joint, 2, 2, "A") - rho.mat)) <= 1e-9
+        assert np.max(np.abs(la.reduce_state(joint, [2, 2], [0]) - rho.mat)) <= 1e-9
 
     def test_diagonal_round_trip(self):
         rho = qs.DensityMatrix(np.diag([0.75, 0.25]))
         psi = ch.purify(rho)
         joint = np.outer(psi, psi.conj())
-        assert np.max(np.abs(la.partial_trace(joint, 2, 2, "A") - rho.mat)) <= 1e-9
+        assert np.max(np.abs(la.reduce_state(joint, [2, 2], [0]) - rho.mat)) <= 1e-9
 
     def test_random_round_trip(self):
         for seed in range(10):
@@ -112,7 +112,7 @@ class TestPurify:
                 psi = ch.purify(rho)
                 joint = np.outer(psi, psi.conj())
                 assert (
-                    np.max(np.abs(la.partial_trace(joint, d, d, "A") - rho.mat)) <= 1e-9
+                    np.max(np.abs(la.reduce_state(joint, [d, d], [0]) - rho.mat)) <= 1e-9
                 )
 
     def test_reduced_entropies_match(self):
@@ -174,9 +174,9 @@ class TestInteractionBlocks:
             la.tensor_product(rho_s.mat, np.outer(KET0, KET0)), (2, 2)
         )
         blocks = ch.interaction_blocks(joint, np.eye(4))
-        assert np.max(np.abs(blocks.block(0, 0) - rho_s.mat)) <= 1e-12
+        assert np.max(np.abs(blocks.blocks[0, 0] - rho_s.mat)) <= 1e-12
         for i, j in [(0, 1), (1, 0), (1, 1)]:
-            assert np.max(np.abs(blocks.block(i, j))) <= 1e-12
+            assert np.max(np.abs(blocks.blocks[i, j])) <= 1e-12
 
     def test_swap_moves_state_to_first_factor(self):
         joint = qs.DensityMatrix.trusted(
@@ -193,7 +193,7 @@ class TestInteractionBlocks:
         blocks = ch.interaction_blocks(joint, CNOT)
         reduced = blocks.reduced_first_factor()
         assert np.max(np.abs(reduced - np.eye(2) / 2)) <= 1e-12
-        assert np.max(np.abs(blocks.block(0, 0) - blocks.block(1, 1))) > 1e-3
+        assert np.max(np.abs(blocks.blocks[0, 0] - blocks.blocks[1, 1])) > 1e-3
         bell_mat = np.outer(BELL, BELL.conj())
         oracle = CNOT @ la.tensor_product(
             np.outer(PLUS, PLUS), np.outer(KET0, KET0)
@@ -208,7 +208,7 @@ class TestInteractionBlocks:
             for i in range(3):
                 for j in range(3):
                     assert (
-                        np.max(np.abs(blocks.block(j, i) - blocks.block(i, j).conj().T))
+                        np.max(np.abs(blocks.blocks[j, i] - blocks.blocks[i, j].conj().T))
                         <= 1e-9
                     )
             assert abs(np.trace(blocks.reduced_first_factor()) - 1.0) <= 1e-9
@@ -260,7 +260,7 @@ class TestProp6Bounds:
                 assert l_s <= upper + 1e-9
                 # with a pure joint state the upper bound saturates 1 - sum tr(B_ii^2)
                 diag_purity = sum(
-                    float(np.real(np.trace(blocks.block(i, i) @ blocks.block(i, i))))
+                    float(np.real(np.trace(blocks.blocks[i, i] @ blocks.blocks[i, i])))
                     for i in range(db)
                 )
                 assert upper == pytest.approx(1 - diag_purity, abs=1e-9)

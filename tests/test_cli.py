@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import qlogent
 from qlogent import cli, reports
 from qlogent.sampling import sample_density, sample_pvm
 from qlogent.states import DensityMatrix, Pvm
@@ -28,13 +32,8 @@ def files(tmp_path):
     put("post_one.json", "vector", np.array([0.0, 1.0]))
     put("post_phi_i.json", "vector", phi_i)
 
-    comp = Pvm.computational(2)
-    pvm_doc = {
-        "kind": "pvm",
-        "blocks": [reports.matrix_to_pairs(b) for b in comp.blocks],
-    }
     p = tmp_path / "comp_pvm.json"
-    p.write_text(reports.dumps_stable(pvm_doc) + "\n")
+    write_pvm(p, Pvm.computational(2))
     paths["comp_pvm.json"] = str(p)
 
     bad = tmp_path / "not_json.json"
@@ -47,6 +46,11 @@ def files(tmp_path):
 
     paths["tmp"] = str(tmp_path)
     return paths
+
+
+def write_pvm(path, pvm):
+    doc = {"kind": "pvm", "blocks": [reports.matrix_to_pairs(b) for b in pvm.blocks]}
+    path.write_text(reports.dumps_stable(doc) + "\n")
 
 
 def _bell():
@@ -265,6 +269,57 @@ class TestExitCodes:
         assert code == 4
 
 
+class TestMalformedInput:
+    """Bad files and flags end in one stderr line and an exit code, never a traceback."""
+
+    @pytest.mark.parametrize(
+        "text, code, phrase",
+        [
+            ('{"kind": "density", "matrix": [[[NaN, 0], [0, 0]], [[0, 0], [0.5, 0]]]}',
+             2, "finite numbers"),
+            ('{"kind": "density", "matrix": [[[0.5, Infinity], [0, 0]], [[0, 0], [0.5, 0]]]}',
+             2, "finite numbers"),
+            ('{"kind": "density", "matrix": [[[-Infinity, 0]]]}', 2, "finite numbers"),
+            ('{"kind": "density", "matrix": [[[1e400, 0]]]}', 2, "finite numbers"),
+            ('{"kind": "density", "matrix": [[[1' + "0" * 400 + ', 0]]]}', 2, "finite numbers"),
+            ('{"kind": "density", "matrix": [[[1e308, 0], [0, 0]], [[0, 0], [0, 0]]]}',
+             3, "non-finite"),
+            ('{"kind": "density", "dims": [true, 2], "matrix": '
+             '[[[0.5, 0], [0, 0]], [[0, 0], [0.5, 0]]]}', 2, "dims"),
+        ],
+    )
+    def test_density_file(self, capsys, tmp_path, text, code, phrase):
+        path = tmp_path / "rho.json"
+        path.write_text(text)
+        got, out, err = run(capsys, ["entropy", "--in", str(path)])
+        assert (got, out) == (code, "")
+        assert len(err.splitlines()) == 1 and phrase in err, err
+
+    @pytest.mark.parametrize("blocks", ["5", "[]", '"x"', "null"])
+    def test_pvm_blocks_must_be_a_non_empty_list(self, files, capsys, tmp_path, blocks):
+        path = tmp_path / "pvm.json"
+        path.write_text('{"kind": "pvm", "blocks": ' + blocks + "}")
+        argv = ["entropy", "--in", files["mixed.json"], "--pvm", str(path)]
+        code, _, err = run(capsys, argv)
+        assert code == 2
+        assert "parse error" in err
+
+    def test_non_finite_tolerance(self, capsys):
+        code, _, err = run(capsys, ["verify", "--prop", "1a", "--trials", "2", "--tol", "nan"])
+        assert code == 3
+        assert "tolerance" in err
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_key_range(self, files, capsys, seed):
+        verify = ["verify", "--prop", "1a", "--trials", "2", "--seed", str(seed)]
+        sample = ["sample", "--in", files["mixed.json"], "--pvm", files["comp_pvm.json"],
+                  "--trials", "10", "--seed", str(seed)]
+        for argv in (verify, sample):
+            code, out, err = run(capsys, argv)
+            assert (code, out) == (3, "")
+            assert "seed" in err
+
+
 class TestMatrixFileRoundTrip:
     def test_density_bit_identical(self, tmp_path):
         rho = sample_density(77, 4)
@@ -283,12 +338,8 @@ class TestMatrixFileRoundTrip:
 
     def test_pvm_round_trip(self, tmp_path):
         pvm = sample_pvm(5, 4, [2, 2])
-        doc = {
-            "kind": "pvm",
-            "blocks": [reports.matrix_to_pairs(b) for b in pvm.blocks],
-        }
         p = tmp_path / "p.json"
-        p.write_text(reports.dumps_stable(doc) + "\n")
+        write_pvm(p, pvm)
         loaded, _ = reports.pvm_from_file(str(p))
         for a, b in zip(loaded.blocks, pvm.blocks):
             assert np.array_equal(a, b)
@@ -309,3 +360,58 @@ class TestStableJson:
     def test_round_trips_through_standard_parser(self):
         doc = {"x": [1.25, -3.5e-17], "y": {"z": 0.3333333333333333}}
         assert json.loads(reports.dumps_stable(doc)) == doc
+
+
+# Runs each argv (a JSON list on stdin) through cli.main in one interpreter and
+# prints every report followed by its exit code.
+_BATCH_SCRIPT = """
+import json, sys
+from qlogent import cli
+for argv in json.load(sys.stdin):
+    code = cli.main(argv)
+    sys.stdout.write(f"exit {code}\\n")
+"""
+
+
+def _cli_subprocess(argvs, threads: str):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(qlogent.__file__))
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = threads
+    return subprocess.run(
+        [sys.executable, "-c", _BATCH_SCRIPT],
+        input=json.dumps(argvs).encode(),
+        capture_output=True,
+        env=env,
+        timeout=600,
+    )
+
+
+class TestBlasThreadDeterminism:
+    """Every eigensolver-using command is byte-identical under 1 and 4 BLAS threads."""
+
+    def test_reports_identical_up_to_the_dimension_limit(self, tmp_path):
+        argvs = []
+        for d in (2, 8, 32, 64):
+            rho, sigma, pvm = (tmp_path / f"{name}_{d}.json" for name in ("rho", "sigma", "pvm"))
+            reports.write_matrix_file(str(rho), "density", sample_density(d, d).mat, (2, d // 2))
+            reports.write_matrix_file(str(sigma), "density", sample_density(d, d, None, 1).mat)
+            write_pvm(pvm, sample_pvm(d, d))
+            argvs += [
+                ["entropy", "--in", str(rho), "--pvm", str(pvm)],
+                ["divergence", str(rho), str(sigma)],
+                ["relative", "--in", str(rho)],
+            ]
+        runs = [_cli_subprocess(argvs, threads) for threads in ("1", "4")]
+        for proc in runs:
+            assert proc.returncode == 0, proc.stderr
+            assert proc.stdout.count(b"exit 0\n") == len(argvs), proc.stderr
+        assert runs[0].stdout == runs[1].stdout
+
+    def test_dimension_above_limit_exits_4(self, tmp_path):
+        path = tmp_path / "rho_65.json"
+        reports.write_matrix_file(str(path), "density", np.eye(65) / 65)
+        proc = _cli_subprocess([["entropy", "--in", str(path)]], "1")
+        assert proc.stdout == b"exit 4\n"
+        assert len(proc.stderr.splitlines()) == 1, proc.stderr
+        assert proc.stderr.startswith(b"dimension mismatch:")

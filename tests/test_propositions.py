@@ -20,6 +20,11 @@ class TestSamplerConfig:
         with pytest.raises(ValueError):
             pr.SamplerConfig(seed=0, trials=1, dims=(1,))
 
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-9])
+    def test_rejects_non_finite_or_negative_tolerance(self, tol):
+        with pytest.raises(ValueError, match="tolerance"):
+            pr.SamplerConfig(seed=0, trials=1, tolerance=tol)
+
 
 class TestVerifyProposition:
     @pytest.mark.parametrize("prop_id", pr.PROPOSITION_IDS)

@@ -98,6 +98,12 @@ class TestStreamSplitting:
         b = sp.rng_for(5, 1, 2, 3).standard_normal(8)
         assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_key_range_is_rejected(self, seed):
+        sp.rng_for(2**64 - 1)
+        with pytest.raises(ValueError, match="seed"):
+            sp.rng_for(seed)
+
     def test_orthogonal_support_mixture(self):
         w, parts = sp.sample_orthogonal_support_mixture(3, [2, 3])
         assert abs(float(np.sum(w)) - 1.0) <= 1e-12

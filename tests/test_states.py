@@ -38,6 +38,12 @@ class TestDensityMatrix:
         with pytest.raises(la.DimensionMismatchError):
             qs.DensityMatrix(np.eye(4) / 4, dims=(2, 3))
 
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, 1e308])
+    def test_rejects_non_finite_after_symmetrising(self, entry):
+        # 1e308 is finite but overflows when the matrix is symmetrised
+        with pytest.raises(qs.ValidationError, match="non-finite"):
+            qs.DensityMatrix(np.diag([entry, 0.5]))
+
 
 class TestPvm:
     def test_validation_catches_incomplete(self):
@@ -47,6 +53,11 @@ class TestPvm:
     def test_validation_catches_non_idempotent(self):
         with pytest.raises(qs.ValidationError):
             qs.Pvm([np.eye(2) * 0.5, np.eye(2) * 0.5])
+
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, 1e308])
+    def test_rejects_non_finite_or_oversized_block(self, entry):
+        with pytest.raises(qs.ValidationError, match="non-finite"):
+            qs.Pvm([np.diag([entry, 0.0]), np.diag([0.0, 1.0])])
 
     def test_coarse_flag(self):
         fine = comp_pvm(2)
