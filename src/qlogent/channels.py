@@ -25,12 +25,13 @@ class UnitalChannel:
         kraus_ops = [la.as_matrix(k) for k in kraus_ops]
         if not kraus_ops:
             raise ValidationError("channel needs at least one Kraus operator")
-        eye = np.eye(kraus_ops[0].shape[0])
-        tp = sum(k.conj().T @ k for k in kraus_ops)
-        un = sum(k @ k.conj().T for k in kraus_ops)
-        if np.max(np.abs(tp - eye)) > HERMITICITY_TOL:
+        k = np.stack(kraus_ops)
+        if not np.isfinite(k).all():
+            raise ValidationError("Kraus operators have non-finite entries")
+        eye = np.eye(k.shape[-1])
+        if np.max(np.abs(np.sum(la.dagger(k) @ k, axis=0) - eye)) > HERMITICITY_TOL:
             raise ValidationError("Kraus operators are not trace-preserving")
-        if np.max(np.abs(un - eye)) > HERMITICITY_TOL:
+        if np.max(np.abs(np.sum(k @ la.dagger(k), axis=0) - eye)) > HERMITICITY_TOL:
             raise ValidationError("Kraus operators are not unital")
         self.kraus_ops = tuple(kraus_ops)
 
@@ -48,12 +49,11 @@ class Povm:
         effects = [la.as_matrix(e) for e in effects]
         if not effects:
             raise ValidationError("POVM needs at least one effect")
-        dim = effects[0].shape[0]
-        total = np.zeros((dim, dim), dtype=complex)
-        for e in effects:
-            la.clamp_psd_eigvals(hermitian_eigvals(e))
-            total += e
-        if np.max(np.abs(total - np.eye(dim))) > HERMITICITY_TOL:
+        e = np.stack(effects)
+        if not np.isfinite(e).all():
+            raise ValidationError("POVM effects have non-finite entries")
+        la.clamp_psd_eigvals(hermitian_eigvals(e))
+        if np.max(np.abs(np.sum(e, axis=0) - np.eye(e.shape[-1]))) > HERMITICITY_TOL:
             raise ValidationError("effects do not sum to identity")
         self.effects = tuple(effects)
 
@@ -68,22 +68,26 @@ class InteractionBlocks:
     __slots__ = ("blocks", "dim_s", "dim_r")
 
     def __init__(self, blocks: np.ndarray, dim_s: int, dim_r: int):
-        self.blocks = blocks  # shape (dim_r, dim_r, dim_s, dim_s)
+        self.blocks = blocks  # shape (..., dim_r, dim_r, dim_s, dim_s); leading axes batch
         self.dim_s = dim_s
         self.dim_r = dim_r
 
+    @classmethod
+    def of_rotated(cls, rotated: np.ndarray, dim_s: int, dim_r: int) -> "InteractionBlocks":
+        """Blocks of U rho_SR U^dag (or a stack of them) on S (x) R."""
+        # axes: (s, r, s', r') -> (r, r', s, s')
+        t = rotated.reshape(*rotated.shape[:-2], dim_s, dim_r, dim_s, dim_r)
+        return cls(np.moveaxis(t, (-4, -3, -2, -1), (-2, -4, -1, -3)), dim_s, dim_r)
+
     def reduced_first_factor(self) -> np.ndarray:
         """sum_i B_ii, the reduced state of the first factor."""
-        return np.einsum("iikl->kl", self.blocks)
+        return np.einsum("...iikl->...kl", self.blocks)
 
 
 def apply_channel(ch: UnitalChannel, rho: DensityMatrix) -> DensityMatrix:
     if ch.dim != rho.dim:
         raise DimensionMismatchError(f"channel dim {ch.dim} vs state dim {rho.dim}")
-    out = np.zeros_like(rho.mat)
-    for k in ch.kraus_ops:
-        out += k @ rho.mat @ k.conj().T
-    return DensityMatrix.trusted((out + out.conj().T) / 2, rho.dims)
+    return DensityMatrix.trusted(la.apply_kraus(np.stack(ch.kraus_ops), rho.mat), rho.dims)
 
 
 def povm_unital_implementation(povm: Povm) -> UnitalChannel:
@@ -104,17 +108,9 @@ def purify(rho: DensityMatrix) -> np.ndarray:
     """
     values, vectors = hermitian_eig(rho.mat)
     values = la.clamp_psd_eigvals(values)
-    d = rho.dim
-    psi = np.zeros(d * d, dtype=complex)
-    for i in range(d):
-        psi += np.sqrt(values[i]) * np.kron(vectors[:, i], _basis_vec(d, i))
+    # entry (a, i) of the flattened matrix is sqrt(lambda_i) <a|lambda_i>
+    psi = (vectors * np.sqrt(values)).ravel()
     return psi / np.linalg.norm(psi)
-
-
-def _basis_vec(dim: int, k: int) -> np.ndarray:
-    v = np.zeros(dim, dtype=complex)
-    v[k] = 1.0
-    return v
 
 
 def schmidt_decompose(psi: np.ndarray, dim_a: int, dim_b: int):
@@ -148,7 +144,7 @@ def _fill_orthonormal(existing: np.ndarray) -> np.ndarray:
     """Deterministic unit vector orthogonal to the given columns."""
     dim = existing.shape[0]
     for k in range(dim):
-        v = _basis_vec(dim, k)
+        v = np.eye(dim, dtype=complex)[k]
         if existing.shape[1]:
             v = v - existing @ (existing.conj().T @ v)
         n = np.linalg.norm(v)
@@ -165,51 +161,32 @@ def interaction_blocks(rho_sr: DensityMatrix, u: np.ndarray) -> InteractionBlock
         raise DimensionMismatchError("unitary dim mismatch with joint state")
     if not la.is_unitary(u):
         raise ValidationError("interaction matrix is not unitary")
-    rotated = u @ rho_sr.mat @ u.conj().T
-    # axes: (s, r, s', r') -> (r, r', s, s')
-    t = rotated.reshape(dim_s, dim_r, dim_s, dim_r).transpose(1, 3, 0, 2)
-    return InteractionBlocks(t.copy(), dim_s, dim_r)
+    return InteractionBlocks.of_rotated(u @ rho_sr.mat @ u.conj().T, dim_s, dim_r)
 
 
-def prop6_bounds(
-    blocks: InteractionBlocks, joint_pure: bool
-) -> tuple[float, float | None]:
+def prop6_bounds(blocks: InteractionBlocks, joint_pure: bool):
     """Interaction-block bracket for the entropy of the reduced first factor.
 
     lower: 2 sum_{j<i} { tr(B_ij B_ij^dag) - Re tr(B_ii B_jj) }, always valid.
     upper: 2 sum_{j<i} tr(B_ij B_ij^dag), valid when the joint state is pure.
+    Both carry the batch axes of blocks; upper is None for a mixed joint state.
     """
     b = blocks.blocks
-    n = blocks.dim_r
-    lower = 0.0
-    cross = 0.0
-    for i in range(n):
-        for j in range(i):
-            bij = b[i, j]
-            cross_ij = float(np.real(np.trace(bij @ bij.conj().T)))
-            cross += cross_ij
-            lower += cross_ij - float(np.real(np.trace(b[i, i] @ b[j, j])))
-    lower *= 2.0
+    below = np.tri(blocks.dim_r, k=-1, dtype=bool)
+    cross = np.sum(la.hs_norm_sq(b)[..., below], axis=-1)
+    diag = np.einsum("...iikl->...ikl", b)
+    overlap = np.einsum("...ikl,...jlk->...ij", diag, diag).real
+    lower = 2.0 * (cross - np.sum(overlap[..., below], axis=-1))
     upper = 2.0 * cross if joint_pure else None
     return lower, upper
 
 
 def weyl_operators(dim: int) -> list[np.ndarray]:
     """The dim^2 shift-clock products X^a Z^c."""
-    shift = np.zeros((dim, dim), dtype=complex)
-    for k in range(dim):
-        shift[(k + 1) % dim, k] = 1.0
-    omega = np.exp(2j * np.pi / dim)
-    clock = np.diag(omega ** np.arange(dim))
-    ops = []
-    xa = np.eye(dim, dtype=complex)
-    for _ in range(dim):
-        zc = np.eye(dim, dtype=complex)
-        for _ in range(dim):
-            ops.append(xa @ zc)
-            zc = zc @ clock
-        xa = xa @ shift
-    return ops
+    shift = np.roll(np.eye(dim, dtype=complex), 1, axis=0)  # |k> -> |k+1>
+    clock = np.diag(np.exp(2j * np.pi / dim) ** np.arange(dim))
+    power = np.linalg.matrix_power
+    return [power(shift, a) @ power(clock, c) for a in range(dim) for c in range(dim)]
 
 
 def twirl_subsystem(rho_ab: DensityMatrix) -> DensityMatrix:
@@ -218,10 +195,5 @@ def twirl_subsystem(rho_ab: DensityMatrix) -> DensityMatrix:
     The result is rho_A otimes I/b.
     """
     da, db = rho_ab.bipartite_dims()
-    eye_a = np.eye(da, dtype=complex)
-    acc = np.zeros_like(rho_ab.mat)
-    for w in weyl_operators(db):
-        lifted = tensor_product(eye_a, w)
-        acc += lifted @ rho_ab.mat @ lifted.conj().T
-    acc /= db * db
-    return DensityMatrix.trusted((acc + acc.conj().T) / 2, (da, db))
+    kraus = tensor_product(np.eye(da, dtype=complex), np.stack(weyl_operators(db))) / db
+    return DensityMatrix.trusted(la.apply_kraus(kraus, rho_ab.mat), (da, db))

@@ -125,12 +125,7 @@ def cmd_relative(args) -> dict:
 
 def cmd_verify(args) -> tuple[dict, int]:
     props = list(PROPOSITION_IDS) + ["ssa"] if args.prop == ["all"] else args.prop
-    cfg = SamplerConfig(
-        seed=args.seed,
-        trials=args.trials,
-        dims=tuple(args.dims),
-        tolerance=args.tol,
-    )
+    cfg = SamplerConfig(args.seed, args.trials, tuple(args.dims), args.tol)
     results = {}
     ok = True
     for pid in props:

@@ -40,20 +40,38 @@ class HermitianEigenSystem(NamedTuple):
     vectors: np.ndarray
 
 
-def as_matrix(m) -> np.ndarray:
+def as_stack(m) -> np.ndarray:
+    """m as complex square matrices, with any number of leading batch axes."""
     m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2] or m.shape[-1] < 1:
+        raise DimensionMismatchError(f"expected square matrices, got shape {m.shape}")
+    return m
+
+
+def as_matrix(m) -> np.ndarray:
+    m = as_stack(m)
+    if m.ndim != 2:
         raise DimensionMismatchError(f"expected a square matrix, got shape {m.shape}")
     return m
 
 
+def dagger(m: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of each matrix in a stack."""
+    return m.conj().swapaxes(-1, -2)
+
+
 def hermiticity_defect(m: np.ndarray) -> float:
-    """Max-abs entry of m - m^dagger."""
-    return float(np.max(np.abs(m - m.conj().T)))
+    """Max-abs entry of m - m^dagger over a matrix or a stack."""
+    return float(np.max(np.abs(m - dagger(m))))
+
+
+def hs_norm_sq(m: np.ndarray) -> np.ndarray:
+    """Squared Hilbert-Schmidt norm tr(m m^dagger) of each matrix; tr m^2 for Hermitian m."""
+    return np.einsum("...ij,...ij->...", m, m.conj()).real
 
 
 def require_hermitian(m: np.ndarray, tol: float = HERMITICITY_TOL) -> np.ndarray:
-    m = as_matrix(m)
+    m = as_stack(m)
     defect = hermiticity_defect(m)
     if defect > tol:
         raise NotHermitianError(f"hermiticity defect {defect:.3e} exceeds {tol:.1e}")
@@ -61,21 +79,36 @@ def require_hermitian(m: np.ndarray, tol: float = HERMITICITY_TOL) -> np.ndarray
 
 
 def tensor_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product with index (i1*b.dim + i2) flattening."""
-    return np.kron(as_matrix(a), as_matrix(b))
+    """Kronecker product with index (i1*b.dim + i2) flattening, over broadcast batch axes."""
+    a, b = as_stack(a), as_stack(b)
+    out = a[..., :, None, :, None] * b[..., None, :, None, :]
+    d = a.shape[-1] * b.shape[-1]
+    return out.reshape(*out.shape[:-4], d, d)
+
+
+def apply_kraus(kraus: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """sum_k K_k rho K_k^dag, symmetrised; kraus (..., K, d, d) acts on rho (..., d, d)."""
+    out = np.sum(kraus @ rho[..., None, :, :] @ dagger(kraus), axis=-3)
+    return (out + dagger(out)) / 2
+
+
+def column_projectors(basis: np.ndarray) -> np.ndarray:
+    """|b_k><b_k| for each column b_k of each basis in a stack: (..., d, d) -> (..., d, d, d)."""
+    return np.einsum("...ik,...jk->...kij", basis, basis.conj())
 
 
 def reduce_state(m: np.ndarray, dims: list[int], keep: list[int]) -> np.ndarray:
-    """Partial trace over all factors not listed in keep (multipartite form)."""
-    m = as_matrix(m)
-    if m.shape[0] != math.prod(dims):
-        raise DimensionMismatchError(f"matrix dim {m.shape[0]} != prod{dims}")
+    """Partial trace over all factors not listed in keep, per matrix of a stack."""
+    m = as_stack(m)
+    if m.shape[-1] != math.prod(dims):
+        raise DimensionMismatchError(f"matrix dim {m.shape[-1]} != prod{dims}")
     keep = sorted(keep)
     n = len(dims)
     col = [i + n if i in keep else i for i in range(n)]
-    t = np.einsum(m.reshape(*dims, *dims), [*range(n), *col], keep + [i + n for i in keep])
+    t = m.reshape(*m.shape[:-2], *dims, *dims)
+    t = np.einsum(t, [..., *range(n), *col], [..., *keep, *(i + n for i in keep)])
     kept = math.prod(dims[i] for i in keep)
-    return t.reshape(kept, kept)
+    return t.reshape(*m.shape[:-2], kept, kept)
 
 
 def _fix_phases(vectors: np.ndarray) -> np.ndarray:
@@ -92,9 +125,9 @@ def _fix_phases(vectors: np.ndarray) -> np.ndarray:
 
 def _eig_input(m: np.ndarray) -> np.ndarray:
     m = require_hermitian(m)
-    if m.shape[0] > MAX_EIG_DIM:
+    if m.shape[-1] > MAX_EIG_DIM:
         raise DimensionMismatchError(
-            f"dimension {m.shape[0]} exceeds the eigensolver limit {MAX_EIG_DIM}"
+            f"dimension {m.shape[-1]} exceeds the eigensolver limit {MAX_EIG_DIM}"
         )
     return m
 
@@ -106,14 +139,14 @@ def hermitian_eig(m: np.ndarray) -> HermitianEigenSystem:
     (stable), each eigenvector phased so its largest-magnitude component is
     real positive.
     """
-    values, vectors = np.linalg.eigh(_eig_input(m))
+    values, vectors = np.linalg.eigh(_eig_input(as_matrix(m)))
     order = np.argsort(-values, kind="stable")
     return HermitianEigenSystem(values[order], _fix_phases(vectors[:, order]))
 
 
 def hermitian_eigvals(m: np.ndarray) -> np.ndarray:
-    """Eigenvalues only, sorted non-increasing."""
-    return np.linalg.eigvalsh(_eig_input(m))[::-1]
+    """Eigenvalues only, sorted non-increasing, per matrix of a stack."""
+    return np.linalg.eigvalsh(_eig_input(m))[..., ::-1]
 
 
 def clamp_psd_eigvals(values: np.ndarray, tol: float = PSD_TOL) -> np.ndarray:

@@ -9,6 +9,7 @@ import numpy as np
 from .sampling import rng_for
 
 PROB_SUM_TOL = 1e-9
+MC_CHUNK = 1 << 20  # draw pairs per Monte Carlo chunk; bounds its memory
 
 
 @dataclass(frozen=True)
@@ -109,11 +110,18 @@ def block_mass_entropy(p: SetPartition, probs) -> float:
     return distribution_logical_entropy(masses)
 
 
+def distinct_pair_fraction(p: np.ndarray, trials: int, rng: np.random.Generator) -> float:
+    """Fraction of trials i.i.d. draw pairs from p that differ, drawn MC_CHUNK pairs at a time."""
+    distinct = 0
+    for start in range(0, trials, MC_CHUNK):
+        draws = rng.choice(p.size, size=(2, min(MC_CHUNK, trials - start)), p=p)
+        distinct += int(np.count_nonzero(draws[0] != draws[1]))
+    return distinct / trials
+
+
 def two_draw_distinction_mc(p, trials: int, seed: int) -> float:
     """Monte Carlo fraction of i.i.d. draw pairs with distinct outcomes."""
     p = as_probability_vector(p)
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    rng = rng_for(seed, 0x7061)
-    draws = rng.choice(p.size, size=(2, trials), p=p / np.sum(p))
-    return float(np.mean(draws[0] != draws[1]))
+    return distinct_pair_fraction(p / np.sum(p), trials, rng_for(seed, 0x7061))

@@ -41,6 +41,8 @@ class PrePostPair:
 
 def _unit_vector(v, name: str) -> np.ndarray:
     v = np.asarray(v, dtype=complex).ravel()
+    if not np.isfinite(v).all():
+        raise ValidationError(f"{name} vector has non-finite entries")
     n = np.linalg.norm(v)
     if abs(n - 1.0) > 1e-9:
         if n == 0:

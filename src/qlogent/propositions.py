@@ -1,35 +1,24 @@
-"""Proposition-by-proposition verification over seeded random instances."""
+"""Proposition-by-proposition verification over seeded random instances.
+
+Trials run in blocks of TRIALS_PER_BLOCK: a checker draws one block as
+(n, d, d) stacks, each draw from a Philox generator keyed by (seed, sampler,
+dim, role, proposition, block), and returns the n violations. Trial t is
+row t % TRIALS_PER_BLOCK of block t // TRIALS_PER_BLOCK.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import linalg as la
-from .channels import apply_channel, interaction_blocks, prop6_bounds
-from .partitions import distribution_logical_entropy
+from . import sampling as sp
+from .channels import InteractionBlocks, prop6_bounds
+from .partitions import distinct_pair_fraction
 from .reports import matrix_to_pairs
-from .sampling import (
-    rng_for,
-    sample_density,
-    sample_mixture_weights,
-    sample_orthogonal_support_mixture,
-    sample_pvm,
-    sample_state_vector,
-    sample_unital_channel,
-    sample_unitary,
-)
-from .states import (
-    DensityMatrix,
-    Pvm,
-    conditional_states,
-    logical_divergence,
-    logical_divergence_definitional,
-    logical_entropy,
-    outcome_probabilities,
-    relative_logical_entropy,
-)
+from .states import OUTCOME_EPS, DensityMatrix, Pvm, conditional_blocks, outcome_probabilities
+from .states import reference_states
 
 STATUS_VERIFIED = "verified"
 STATUS_VIOLATED = "violated"
@@ -37,6 +26,7 @@ STATUS_COUNTEREXAMPLE = "counterexample-found-as-expected"
 STATUS_NOT_FOUND = "counterexample-not-found"
 
 SSA_MIN_VIOLATION = 1e-6
+TRIALS_PER_BLOCK = 128  # even, so a trial's parity is its row's parity
 
 _MAX_FAILURE_EXAMPLES = 10
 
@@ -51,6 +41,8 @@ class SamplerConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if not self.dims:
+            raise ValueError("dims must name at least one dimension")
         if any(d < 2 for d in self.dims):
             raise ValueError("every dim must be >= 2")
         if not 0.0 <= self.tolerance < float("inf"):
@@ -69,256 +61,256 @@ class PropositionResult:
     note: str | None = None
 
     def to_dict(self) -> dict:
-        out = {
-            "proposition": self.proposition,
-            "trials_run": self.trials_run,
-            "failure_count": self.failure_count,
-            "worst_violation": self.worst_violation,
-            "failure_examples": sorted(self.failure_examples),
-            "status": self.status,
-        }
-        if self.witness is not None:
-            out["witness"] = self.witness
-        if self.note is not None:
-            out["note"] = self.note
+        out = {key: value for key, value in vars(self).items() if value is not None}
+        out["failure_examples"] = sorted(self.failure_examples)
         return out
 
 
-def _pair_dim(trial: int) -> int:
-    """Second factor dimension for bipartite instances: alternate 2 and 3."""
-    return 2 if trial % 2 == 0 else 3
+@dataclass(frozen=True)
+class _Block:
+    """n trials of one (proposition, dim); key = (proposition tag, [second dim], block)."""
+
+    seed: int
+    dim: int
+    n: int
+    key: tuple[int, ...]
+
+    def densities(self, role: int, dim: int | None = None) -> np.ndarray:
+        return sp.sample_densities(self.seed, self.n, dim or self.dim, None, role, *self.key)
+
+    def pure_states(self, role: int, dim: int) -> np.ndarray:
+        v = sp.sample_state_vectors(self.seed, self.n, dim, role, *self.key)
+        return v[:, :, None] * v.conj()[:, None, :]
+
+    def unitaries(self, role: int, dim: int) -> np.ndarray:
+        return sp.sample_unitaries(self.seed, self.n, dim, role, *self.key)
+
+    def uniform(self, role: int) -> np.ndarray:
+        return sp.rng_for(self.seed, 0xA0, self.dim, role, *self.key).random(self.n)
+
+    def mixture(self, role: int):
+        """(weights, parts, mixed state) of n mixtures of 2..MAX_TERMS random states."""
+        n, d = self.n, self.dim
+        w = sp.sample_ragged_weights(self.seed, n, role, *self.key)
+        parts = sp.sample_densities(self.seed, n * sp.MAX_TERMS, d, None, role, *self.key)
+        parts = parts.reshape(n, sp.MAX_TERMS, d, d)
+        return w, parts, _mix(w, parts)
 
 
-def _bipartite_sample(seed: int, da: int, db: int, trial: int) -> DensityMatrix:
-    rho = sample_density(seed, da * db, None, 0xAB, da, db, trial)
-    return rho.with_dims((da, db))
+def _entropy(m: np.ndarray) -> np.ndarray:
+    """Logical entropy 1 - tr m^2 of each state in a stack."""
+    return 1.0 - la.hs_norm_sq(m)
 
 
-def _mixture(seed: int, dim: int, trial: int, stream: int):
-    rng = rng_for(seed, stream, dim, trial)
-    count = int(rng.integers(2, 5))
-    weights = sample_mixture_weights(seed, count, stream + 1, dim, trial)
-    parts = [sample_density(seed, dim, None, stream + 2, i, trial) for i in range(count)]
-    mixed = sum(w * p.mat for w, p in zip(weights, parts))
-    return weights, parts, DensityMatrix.trusted(mixed)
+def _reduce(m: np.ndarray, da: int, db: int, keep: int) -> np.ndarray:
+    return la.reduce_state(m, [da, db], [keep])
 
 
-# Each checker returns a violation magnitude; <= tolerance counts as pass.
-
-def _check_1a(seed: int, dim: int, trial: int) -> float:
-    rho = sample_density(seed, dim, None, trial)
-    pure = DensityMatrix.pure(sample_state_vector(seed, dim, trial))
-    return max(-logical_entropy(rho), abs(logical_entropy(pure)))
+def _marginal_entropies(m: np.ndarray, da: int, db: int):
+    return _entropy(_reduce(m, da, db, 0)), _entropy(_reduce(m, da, db, 1))
 
 
-def _check_1b(seed: int, dim: int, trial: int) -> float:
-    rho = sample_density(seed, dim, None, trial)
-    cap = 1.0 - 1.0 / dim
-    mixed = DensityMatrix.maximally_mixed(dim)
-    return max(logical_entropy(rho) - cap, abs(logical_entropy(mixed) - cap))
+def _mix(w: np.ndarray, parts: np.ndarray) -> np.ndarray:
+    return np.einsum("nk,nkij->nij", w, parts)
 
 
-def _check_1c(seed: int, dim: int, trial: int) -> float:
-    db = _pair_dim(trial)
-    psi = sample_state_vector(seed, dim * db, 0x1C, trial)
-    rho = DensityMatrix.pure(psi, (dim, db))
-    return abs(logical_entropy(rho.reduced("A")) - logical_entropy(rho.reduced("B")))
+def _mixture_bound(w: np.ndarray, parts: np.ndarray) -> np.ndarray:
+    """L(w) + sum_k w_k^2 L(part_k)."""
+    return 1.0 - np.sum(w * w, axis=1) + np.sum(w * w * _entropy(parts), axis=1)
 
 
-def _check_1d(seed: int, dim: int, trial: int) -> float:
-    db = _pair_dim(trial)
-    rho_a = sample_density(seed, dim, None, 0x1D, 0, trial)
-    rho_b = sample_density(seed, db, None, 0x1D, 1, trial)
-    joint = DensityMatrix.trusted(la.tensor_product(rho_a.mat, rho_b.mat), (dim, db))
-    l_a, l_b = logical_entropy(rho_a), logical_entropy(rho_b)
-    return abs(logical_entropy(joint) - (l_a + l_b - l_a * l_b))
+def _alternating(half):
+    """Checker running half(b, db) on even trials with db = 2 and on odd ones with db = 3."""
+
+    def check(b: _Block) -> np.ndarray:
+        out = np.empty(b.n)
+        for db in (2, 3):
+            rows = slice(db - 2, None, 2)
+            sub = replace(b, n=len(out[rows]), key=(b.key[0], db, *b.key[1:]))
+            if sub.n:
+                out[rows] = half(sub, db)
+        return out
+
+    return check
 
 
-def _check_2(seed: int, dim: int, trial: int) -> float:
-    db = _pair_dim(trial)
-    rho = _bipartite_sample(seed, dim, db, trial)
-    return logical_entropy(rho) - logical_entropy(rho.reduced("A")) - logical_entropy(
-        rho.reduced("B")
-    )
+# Each checker returns the violation of each trial; <= tolerance counts as pass.
+
+def _check_1a(b: _Block) -> np.ndarray:
+    pure = b.pure_states(1, b.dim)
+    return np.maximum(-_entropy(b.densities(0)), np.abs(_entropy(pure)))
 
 
-def _check_3(seed: int, dim: int, trial: int) -> float:
-    db = _pair_dim(trial)
-    rho = _bipartite_sample(seed, dim, db, trial)
-    pvm = sample_pvm(seed, dim, None, 0x33, trial)
-    branches = conditional_states(rho, pvm)
-    bound = logical_entropy(rho.reduced("A")) + sum(
-        p * logical_entropy(s) for p, s in branches
-    )
-    return logical_entropy(rho) - bound
+def _check_1b(b: _Block) -> np.ndarray:
+    cap = 1.0 - 1.0 / b.dim
+    mixed = np.eye(b.dim, dtype=complex) / b.dim
+    return np.maximum(_entropy(b.densities(0)) - cap, abs(_entropy(mixed) - cap))
 
 
-def _check_4(seed: int, dim: int, trial: int) -> float:
-    db = _pair_dim(trial)
-    rho = _bipartite_sample(seed, dim, db, trial)
-    gap = abs(
-        logical_entropy(rho.reduced("A")) - logical_entropy(rho.reduced("B"))
-    )
-    return gap - logical_entropy(rho)
+@_alternating
+def _check_1c(b: _Block, db: int) -> np.ndarray:
+    l_a, l_b = _marginal_entropies(b.pure_states(0, b.dim * db), b.dim, db)
+    return np.abs(l_a - l_b)
 
 
-def _check_5(seed: int, dim: int, trial: int) -> float:
-    rho = sample_density(seed, dim, None, 0x55, trial)
-    ch = sample_unital_channel(seed, dim, trial)
-    out = apply_channel(ch, rho)
-    entropy_violation = logical_entropy(rho) - logical_entropy(out)
-    in_spec = rho.eigenvalues()
-    out_spec = out.eigenvalues()
+@_alternating
+def _check_1d(b: _Block, db: int) -> np.ndarray:
+    rho_a, rho_b = b.densities(0), b.densities(1, db)
+    l_a, l_b = _entropy(rho_a), _entropy(rho_b)
+    return np.abs(_entropy(la.tensor_product(rho_a, rho_b)) - (l_a + l_b - l_a * l_b))
+
+
+@_alternating
+def _check_2(b: _Block, db: int) -> np.ndarray:
+    rho = b.densities(0, b.dim * db)
+    l_a, l_b = _marginal_entropies(rho, b.dim, db)
+    return _entropy(rho) - l_a - l_b
+
+
+@_alternating
+def _check_3(b: _Block, db: int) -> np.ndarray:
+    # conditional B states for a Haar PVM on A; outcomes with p <= OUTCOME_EPS are dropped
+    rho = b.densities(0, b.dim * db)
+    m, p = conditional_blocks(rho, la.column_projectors(b.unitaries(1, b.dim)), b.dim, db)
+    kept = p > OUTCOME_EPS
+    cond = (m + la.dagger(m)) / 2 / np.where(kept, p, 1.0)[..., None, None]
+    branches = np.sum(np.where(kept, p * _entropy(cond), 0.0), axis=1)
+    return _entropy(rho) - _entropy(_reduce(rho, b.dim, db, 0)) - branches
+
+
+@_alternating
+def _check_4(b: _Block, db: int) -> np.ndarray:
+    rho = b.densities(0, b.dim * db)
+    l_a, l_b = _marginal_entropies(rho, b.dim, db)
+    return np.abs(l_a - l_b) - _entropy(rho)
+
+
+def _check_5(b: _Block) -> np.ndarray:
+    rho = b.densities(0)
+    mixing, kraus, bases = sp.sample_unital_channels(b.seed, b.n, b.dim, 1, *b.key)
+    # dephasing in basis V keeps the diagonal q of V^dag rho V: V diag(q) V^dag
+    q = np.einsum("nji,njk,nki->ni", bases.conj(), rho, bases).real
+    dephased = (bases * q[:, None, :]) @ la.dagger(bases)
+    dephased = (dephased + la.dagger(dephased)) / 2
+    out = np.where(mixing[:, None, None], la.apply_kraus(kraus, rho), dephased)
     # input spectrum must majorize the output spectrum
-    deficit = float(
-        np.max(np.cumsum(np.sort(out_spec)[::-1]) - np.cumsum(np.sort(in_spec)[::-1]))
-    )
-    return max(entropy_violation, deficit)
+    prefix = np.cumsum(la.hermitian_eigvals(out) - la.hermitian_eigvals(rho), axis=1)
+    return np.maximum(_entropy(rho) - _entropy(out), np.max(prefix, axis=1))
 
 
-def _check_6(seed: int, dim: int, trial: int) -> float:
-    dr = _pair_dim(trial)
-    u = sample_unitary(seed, dim * dr, 0x66, trial)
-    pure = trial % 2 == 0
-    if pure:
-        joint = DensityMatrix.pure(
-            sample_state_vector(seed, dim * dr, 0x67, trial), (dim, dr)
-        )
-    else:
-        joint = _bipartite_sample(seed, dim, dr, trial)
-    blocks = interaction_blocks(joint, u)
+@_alternating
+def _check_6(b: _Block, dr: int) -> np.ndarray:
+    # even trials: a pure joint state with dr = 2; odd trials: a mixed one with dr = 3
+    pure = dr == 2
+    joint = b.pure_states(0, b.dim * dr) if pure else b.densities(1, b.dim * dr)
+    u = b.unitaries(2, b.dim * dr)
+    blocks = InteractionBlocks.of_rotated(u @ joint @ la.dagger(u), b.dim, dr)
     lower, upper = prop6_bounds(blocks, joint_pure=pure)
-    l_s = float(
-        1.0 - np.real(np.trace(blocks.reduced_first_factor() @ blocks.reduced_first_factor()))
-    )
-    violation = lower - l_s
-    if upper is not None:
-        violation = max(violation, l_s - upper)
-    return violation
+    l_s = _entropy(blocks.reduced_first_factor())
+    return lower - l_s if upper is None else np.maximum(lower - l_s, l_s - upper)
 
 
-def _check_7(seed: int, dim: int, trial: int) -> float:
-    # generic mixture: inequality
-    weights, parts, rho = _mixture(seed, dim, trial, 0x77)
-    bound = distribution_logical_entropy(weights) + sum(
-        w * w * logical_entropy(p) for w, p in zip(weights, parts)
-    )
-    violation = logical_entropy(rho) - bound
-    # orthogonal-support mixture: equality
-    w2, parts2 = sample_orthogonal_support_mixture(seed, [dim, _pair_dim(trial)], trial)
-    rho2 = DensityMatrix.trusted(sum(w * p.mat for w, p in zip(w2, parts2)))
-    bound2 = distribution_logical_entropy(w2) + sum(
-        w * w * logical_entropy(p) for w, p in zip(w2, parts2)
-    )
-    return max(violation, abs(logical_entropy(rho2) - bound2))
+@_alternating
+def _check_7(b: _Block, db: int) -> np.ndarray:
+    # generic mixture: inequality; orthogonal-support mixture: equality
+    w, parts, rho = b.mixture(0)
+    w2, parts2 = sp.sample_orthogonal_support_mixtures(b.seed, b.n, [b.dim, db], 1, *b.key)
+    equality = np.abs(_entropy(_mix(w2, parts2)) - _mixture_bound(w2, parts2))
+    return np.maximum(_entropy(rho) - _mixture_bound(w, parts), equality)
 
 
-def _check_8(seed: int, dim: int, trial: int) -> float:
-    rho = sample_density(seed, dim, None, 0x88, 0, trial)
-    sigma = sample_density(seed, dim, None, 0x88, 1, trial)
-    d_hs = logical_divergence(rho, sigma)
-    d_def = logical_divergence_definitional(rho, sigma)
-    return max(-d_hs, abs(d_hs - d_def), logical_divergence(rho, rho))
+def _check_8(b: _Block) -> np.ndarray:
+    rho, sigma = b.densities(0), b.densities(1)
+    d_hs = la.hs_norm_sq(rho - sigma)
+    cross = np.einsum("nij,nji->n", rho, sigma).real
+    d_def = 2.0 * (1.0 - cross) - _entropy(rho) - _entropy(sigma)
+    return np.maximum.reduce([-d_hs, np.abs(d_hs - d_def), la.hs_norm_sq(rho - rho)])
 
 
-def _check_9(seed: int, dim: int, trial: int) -> float:
+@_alternating
+def _check_9(b: _Block, db: int) -> np.ndarray:
     # (a) orthogonal support: average entropy below mixture entropy
-    w, parts = sample_orthogonal_support_mixture(seed, [dim, _pair_dim(trial)], 0x99, trial)
-    rho = DensityMatrix.trusted(sum(wi * p.mat for wi, p in zip(w, parts)))
-    avg = sum(wi * logical_entropy(p) for wi, p in zip(w, parts))
-    violation = avg - logical_entropy(rho)
+    w, parts = sp.sample_orthogonal_support_mixtures(b.seed, b.n, [b.dim, db], 0, *b.key)
+    violation = np.sum(w * _entropy(parts), axis=1) - _entropy(_mix(w, parts))
     # (b) generic mixture: two-sided neighborhood
-    w2, parts2, rho2 = _mixture(seed, dim, trial, 0x9A)
-    avg2 = sum(wi * logical_entropy(p) for wi, p in zip(w2, parts2))
-    width = distribution_logical_entropy(w2)
-    l2 = logical_entropy(rho2)
-    return max(violation, avg2 - width - l2, l2 - avg2 - width)
+    w2, parts2, rho2 = b.mixture(1)
+    avg2 = np.sum(w2 * _entropy(parts2), axis=1)
+    width = 1.0 - np.sum(w2 * w2, axis=1)
+    l2 = _entropy(rho2)
+    return np.maximum.reduce([violation, avg2 - width - l2, l2 - avg2 - width])
 
 
-def _check_10(seed: int, dim: int, trial: int) -> float:
-    rng = rng_for(seed, 0xA0, dim, trial)
-    lam = float(rng.uniform())
-    rho1 = sample_density(seed, dim, None, 0xA1, 0, trial)
-    rho2 = sample_density(seed, dim, None, 0xA1, 1, trial)
-    sig1 = sample_density(seed, dim, None, 0xA1, 2, trial)
-    sig2 = sample_density(seed, dim, None, 0xA1, 3, trial)
-    rho = DensityMatrix.trusted(lam * rho1.mat + (1 - lam) * rho2.mat)
-    sig = DensityMatrix.trusted(lam * sig1.mat + (1 - lam) * sig2.mat)
-    return logical_divergence(rho, sig) - (
-        lam * logical_divergence(rho1, sig1)
-        + (1 - lam) * logical_divergence(rho2, sig2)
-    )
+def _check_10(b: _Block) -> np.ndarray:
+    lam = b.uniform(0)
+    rho1, rho2, sig1, sig2 = (b.densities(1 + i) for i in range(4))
+    mix = lam[:, None, None]
+    joint = la.hs_norm_sq(mix * rho1 + (1 - mix) * rho2 - (mix * sig1 + (1 - mix) * sig2))
+    return joint - (lam * la.hs_norm_sq(rho1 - sig1) + (1 - lam) * la.hs_norm_sq(rho2 - sig2))
 
 
-def _check_11(seed: int, dim: int, trial: int) -> float:
-    db = _pair_dim(trial)
-    rng = rng_for(seed, 0xB2, dim, trial)
-    lam = float(rng.uniform())
-    rho1 = _bipartite_sample(seed, dim, db, 2 * trial)
-    rho2 = _bipartite_sample(seed, dim, db, 2 * trial + 1)
-    mix = DensityMatrix.trusted(lam * rho1.mat + (1 - lam) * rho2.mat, (dim, db))
-    return (
-        lam * relative_logical_entropy(rho1)
-        + (1 - lam) * relative_logical_entropy(rho2)
-        - relative_logical_entropy(mix)
-    )
+@_alternating
+def _check_11(b: _Block, db: int) -> np.ndarray:
+    lam = b.uniform(0)
+    rho1, rho2 = b.densities(1, b.dim * db), b.densities(2, b.dim * db)
+    mix = lam[:, None, None] * rho1 + (1 - lam[:, None, None]) * rho2
+
+    def relative(m):
+        return _entropy(m) - _entropy(reference_states(m, b.dim, db))
+
+    return lam * relative(rho1) + (1 - lam) * relative(rho2) - relative(mix)
 
 
-def _check_12(seed: int, dim: int, trial: int) -> float:
-    db = _pair_dim(trial)
-    rho = _bipartite_sample(seed, dim, db, 2 * trial)
-    sigma = _bipartite_sample(seed, dim, db, 2 * trial + 1)
+@_alternating
+def _check_12(b: _Block, db: int) -> np.ndarray:
+    rho, sigma = b.densities(0, b.dim * db), b.densities(1, b.dim * db)
     eye_b = np.eye(db, dtype=complex) / db
-    rho_red = DensityMatrix.trusted(la.tensor_product(rho.reduced("A").mat, eye_b))
-    sig_red = DensityMatrix.trusted(la.tensor_product(sigma.reduced("A").mat, eye_b))
-    return logical_divergence(rho_red, sig_red) - logical_divergence(rho, sigma)
+    rho_red = la.tensor_product(_reduce(rho, b.dim, db, 0), eye_b)
+    sig_red = la.tensor_product(_reduce(sigma, b.dim, db, 0), eye_b)
+    return la.hs_norm_sq(rho_red - sig_red) - la.hs_norm_sq(rho - sigma)
 
 
 _CHECKERS = {
-    "1a": _check_1a,
-    "1b": _check_1b,
-    "1c": _check_1c,
-    "1d": _check_1d,
-    "2": _check_2,
-    "3": _check_3,
-    "4": _check_4,
-    "5": _check_5,
-    "6": _check_6,
-    "7": _check_7,
-    "8": _check_8,
-    "9": _check_9,
-    "10": _check_10,
-    "11": _check_11,
-    "12": _check_12,
+    "1a": _check_1a, "1b": _check_1b, "1c": _check_1c, "1d": _check_1d, "2": _check_2,
+    "3": _check_3, "4": _check_4, "5": _check_5, "6": _check_6, "7": _check_7,
+    "8": _check_8, "9": _check_9, "10": _check_10, "11": _check_11, "12": _check_12,
 }
 
 PROPOSITION_IDS = tuple(_CHECKERS)
+
+
+def block_violations(prop_id: str, seed: int, dim: int, block: int, n: int) -> np.ndarray:
+    """Violations of trials block * TRIALS_PER_BLOCK + (0..n-1) of one proposition at one dim.
+
+    The first k of them do not depend on n, so any trial can be replayed alone.
+    """
+    try:
+        check = _CHECKERS[prop_id]
+    except KeyError:
+        raise ValueError(f"unknown proposition id {prop_id!r}") from None
+    if not 1 <= n <= TRIALS_PER_BLOCK:
+        raise ValueError(f"a block holds 1..{TRIALS_PER_BLOCK} trials, got {n}")
+    return check(_Block(seed, dim, n, (int.from_bytes(prop_id.encode(), "big"), block)))
 
 
 def verify_proposition(prop_id: str, cfg: SamplerConfig) -> PropositionResult:
     """Run cfg.trials seeded instances of one proposition per configured dim."""
     if prop_id == "ssa":
         return strong_subadditivity_search(cfg)
-    try:
-        check = _CHECKERS[prop_id]
-    except KeyError:
-        raise ValueError(f"unknown proposition id {prop_id!r}") from None
     examples = []
     worst = 0.0
-    total = 0
     n_failures = 0
     for dim in cfg.dims:
-        for trial in range(cfg.trials):
-            violation = check(cfg.seed, dim, trial)
-            total += 1
-            worst = max(worst, violation)
-            if violation > cfg.tolerance:
-                n_failures += 1
-                if len(examples) < _MAX_FAILURE_EXAMPLES:
-                    examples.append([cfg.seed, dim, trial, violation])
+        for start in range(0, cfg.trials, TRIALS_PER_BLOCK):
+            n = min(TRIALS_PER_BLOCK, cfg.trials - start)
+            v = block_violations(prop_id, cfg.seed, dim, start // TRIALS_PER_BLOCK, n)
+            worst = max(worst, float(np.max(v)))
+            failing = np.flatnonzero(v > cfg.tolerance)
+            n_failures += failing.size
+            room = _MAX_FAILURE_EXAMPLES - len(examples)
+            examples += [[cfg.seed, dim, start + int(t), float(v[t])] for t in failing[:room]]
     return PropositionResult(
         proposition=prop_id,
-        trials_run=total,
+        trials_run=len(cfg.dims) * cfg.trials,
         failure_count=n_failures,
         worst_violation=worst,
         failure_examples=examples,
@@ -343,22 +335,14 @@ def _tripartite_candidates(seed: int, trial: int) -> DensityMatrix:
         v[1] = v[2] = v[4] = 1 / np.sqrt(3)
         return DensityMatrix.pure(v, dims)
     if trial % 2 == 1:
-        return DensityMatrix.pure(sample_state_vector(seed, 8, 0xE0, trial), dims)
-    return sample_density(seed, 8, None, 0xE1, trial).with_dims(dims)
+        return DensityMatrix.pure(sp.sample_state_vector(seed, 8, 0xE0, trial), dims)
+    return sp.sample_density(seed, 8, None, 0xE1, trial).with_dims(dims)
 
 
 def _ssa_gap(rho: DensityMatrix) -> float:
     """L(rho_ABC) + L(rho_B) - L(rho_AB) - L(rho_BC); positive means violation."""
-    dims = list(rho.dims)
-    rho_b = DensityMatrix.trusted(la.reduce_state(rho.mat, dims, [1]))
-    rho_ab = DensityMatrix.trusted(la.reduce_state(rho.mat, dims, [0, 1]))
-    rho_bc = DensityMatrix.trusted(la.reduce_state(rho.mat, dims, [1, 2]))
-    return (
-        logical_entropy(rho)
-        + logical_entropy(rho_b)
-        - logical_entropy(rho_ab)
-        - logical_entropy(rho_bc)
-    )
+    b, ab, bc = (la.reduce_state(rho.mat, list(rho.dims), keep) for keep in ([1], [0, 1], [1, 2]))
+    return float(_entropy(rho.mat) + _entropy(b) - _entropy(ab) - _entropy(bc))
 
 
 def strong_subadditivity_search(cfg: SamplerConfig) -> PropositionResult:
@@ -370,23 +354,13 @@ def strong_subadditivity_search(cfg: SamplerConfig) -> PropositionResult:
     for trial in range(cfg.trials):
         rho = _tripartite_candidates(cfg.seed, trial)
         gap = _ssa_gap(rho)
-        if gap > SSA_MIN_VIOLATION:
-            recheck = _ssa_gap(_tripartite_candidates(cfg.seed, trial))
-            if recheck > SSA_MIN_VIOLATION:
-                return PropositionResult(
-                    proposition="ssa",
-                    trials_run=trial + 1,
-                    failure_count=0,
-                    worst_violation=0.0,
-                    status=STATUS_COUNTEREXAMPLE,
-                    witness={
-                        "seed": cfg.seed,
-                        "trial": trial,
-                        "violation": gap,
-                        "dims": [2, 2, 2],
-                        "matrix": matrix_to_pairs(rho.mat),
-                    },
-                )
+        fresh = _ssa_gap(_tripartite_candidates(cfg.seed, trial)) if gap > SSA_MIN_VIOLATION else 0
+        if fresh > SSA_MIN_VIOLATION:
+            witness = {"seed": cfg.seed, "trial": trial, "violation": gap, "dims": [2, 2, 2]}
+            witness["matrix"] = matrix_to_pairs(rho.mat)
+            return PropositionResult(
+                "ssa", trial + 1, 0, 0.0, status=STATUS_COUNTEREXAMPLE, witness=witness
+            )
     return PropositionResult(
         proposition="ssa",
         trials_run=cfg.trials,
@@ -397,14 +371,9 @@ def strong_subadditivity_search(cfg: SamplerConfig) -> PropositionResult:
     )
 
 
-def two_draw_quantum_mc(
-    rho: DensityMatrix, pvm: Pvm, trials: int, seed: int
-) -> float:
+def two_draw_quantum_mc(rho: DensityMatrix, pvm: Pvm, trials: int, seed: int) -> float:
     """Monte Carlo fraction of distinct outcomes over i.i.d. PVM outcome pairs."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     q = outcome_probabilities(rho, pvm)
-    q = q / np.sum(q)
-    rng = rng_for(seed, 0x2D)
-    draws = rng.choice(q.size, size=(2, trials), p=q)
-    return float(np.mean(draws[0] != draws[1]))
+    return distinct_pair_fraction(q / np.sum(q), trials, sp.rng_for(seed, 0x2D))

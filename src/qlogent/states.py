@@ -159,13 +159,8 @@ class Pvm:
             groups = [1] * dim
         if sum(groups) != dim or any(g < 1 for g in groups):
             raise ValidationError(f"groups {groups} do not partition dimension {dim}")
-        blocks = []
-        start = 0
-        for g in groups:
-            cols = basis[:, start:start + g]
-            blocks.append(cols @ cols.conj().T)
-            start += g
-        return cls(blocks)
+        edges = np.cumsum([0, *groups])
+        return cls([basis[:, a:b] @ basis[:, a:b].conj().T for a, b in zip(edges, edges[1:])])
 
     @classmethod
     def computational(cls, dim: int, groups: list[int] | None = None) -> "Pvm":
@@ -183,8 +178,7 @@ def _check_same_dim(a: DensityMatrix, b: DensityMatrix) -> None:
 
 def purity(rho: DensityMatrix) -> float:
     """tr rho^2."""
-    m = rho.mat
-    return float(np.real(np.trace(m @ m)))
+    return float(la.hs_norm_sq(rho.mat))
 
 
 def logical_entropy(rho: DensityMatrix) -> float:
@@ -247,8 +241,7 @@ def basis_decomposition_check(rho: DensityMatrix, pvm: Pvm) -> tuple[float, floa
 def logical_divergence(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """Squared Hilbert-Schmidt distance tr(rho - sigma)^2."""
     _check_same_dim(rho, sigma)
-    diff = rho.mat - sigma.mat
-    return float(np.real(np.trace(diff @ diff)))
+    return float(la.hs_norm_sq(rho.mat - sigma.mat))
 
 
 def logical_divergence_definitional(rho: DensityMatrix, sigma: DensityMatrix) -> float:
@@ -258,11 +251,14 @@ def logical_divergence_definitional(rho: DensityMatrix, sigma: DensityMatrix) ->
     return 2.0 * (1.0 - cross) - logical_entropy(rho) - logical_entropy(sigma)
 
 
+def reference_states(rho_ab: np.ndarray, da: int, db: int) -> np.ndarray:
+    """I/d_A otimes rho_B, the reference of the relative logical entropy, per batch entry."""
+    return tensor_product(np.eye(da, dtype=complex) / da, reduce_state(rho_ab, [da, db], [1]))
+
+
 def _reference_state(rho_ab: DensityMatrix) -> DensityMatrix:
-    """I/d_A otimes rho_B, the reference of the relative logical entropy."""
-    da, db = rho_ab.bipartite_dims()
-    eye_a = np.eye(da, dtype=complex) / da
-    return DensityMatrix.trusted(tensor_product(eye_a, rho_ab.reduced("B").mat), (da, db))
+    dims = rho_ab.bipartite_dims()
+    return DensityMatrix.trusted(reference_states(rho_ab.mat, *dims), dims)
 
 
 def relative_logical_entropy(rho_ab: DensityMatrix) -> float:
@@ -313,13 +309,19 @@ def conditional_states(
     da, db = rho_ab.bipartite_dims()
     if pvm_on_a.dim != da:
         raise DimensionMismatchError(f"PVM dim {pvm_on_a.dim} vs factor A dim {da}")
-    eye_b = np.eye(db, dtype=complex)
-    out = []
-    for a_k in pvm_on_a.blocks:
-        proj = tensor_product(a_k, eye_b)
-        sandwiched = proj @ rho_ab.mat @ proj
-        m_k = reduce_state(sandwiched, [da, db], [1])
-        p_k = float(np.real(np.trace(m_k)))
-        if p_k > OUTCOME_EPS:
-            out.append((p_k, DensityMatrix.trusted((m_k + m_k.conj().T) / 2 / p_k)))
-    return out
+    m, p = conditional_blocks(rho_ab.mat, np.stack(pvm_on_a.blocks), da, db)
+    return [
+        (float(p_k), DensityMatrix.trusted((m_k + m_k.conj().T) / 2 / p_k))
+        for m_k, p_k in zip(m, p)
+        if p_k > OUTCOME_EPS
+    ]
+
+
+def conditional_blocks(rho_ab: np.ndarray, projectors: np.ndarray, da: int, db: int):
+    """m_k = tr_A[(A_k (x) I) rho (A_k (x) I)] and p_k = tr m_k, over batch axes (..., K).
+
+    With A_k^2 = A_k, entry (b, e) of m_k is sum_{c,d} A_k[d, c] rho[(c, b), (d, e)].
+    """
+    r = rho_ab.reshape(*rho_ab.shape[:-2], da, db, da, db)
+    m = np.einsum("...kdc,...cbde->...kbe", projectors, r)
+    return m, np.einsum("...ii->...", m).real

@@ -5,10 +5,12 @@ from qlogent import channels as ch
 from qlogent import linalg as la
 from qlogent import states as qs
 from qlogent.sampling import (
+    sample_densities,
     sample_density,
     sample_pvm,
     sample_state_vector,
     sample_unital_channel,
+    sample_unitaries,
     sample_unitary,
 )
 
@@ -264,6 +266,39 @@ class TestProp6Bounds:
                     for i in range(db)
                 )
                 assert upper == pytest.approx(1 - diag_purity, abs=1e-9)
+
+
+    def test_matches_pairwise_loop_and_batches(self):
+        # reference: the defining double sum over j < i, one block pair at a time
+        joints = sample_densities(3, 6, 6, None, 0xBC)
+        units = sample_unitaries(3, 6, 6, 0xBD)
+        batch = ch.InteractionBlocks.of_rotated(units @ joints @ la.dagger(units), 2, 3)
+        lowers, uppers = ch.prop6_bounds(batch, joint_pure=True)
+        for k in range(6):
+            blocks = ch.interaction_blocks(qs.DensityMatrix.trusted(joints[k], (2, 3)), units[k])
+            b = blocks.blocks
+            assert np.array_equal(b, batch.blocks[k])
+            cross = lower = 0.0
+            for i in range(3):
+                for j in range(i):
+                    hs = float(np.real(np.trace(b[i, j] @ b[i, j].conj().T)))
+                    cross += hs
+                    lower += hs - float(np.real(np.trace(b[i, i] @ b[j, j])))
+            single = ch.prop6_bounds(blocks, joint_pure=True)
+            assert single == (lowers[k], uppers[k])
+            assert single[0] == pytest.approx(2 * lower, abs=1e-14)
+            assert single[1] == pytest.approx(2 * cross, abs=1e-14)
+
+
+class TestNonFiniteOperators:
+    def test_unital_channel_rejects_nan(self):
+        with pytest.raises(qs.ValidationError, match="non-finite"):
+            ch.UnitalChannel([np.full((2, 2), np.nan)])
+
+    def test_povm_rejects_nan(self):
+        effect = np.diag([np.nan, 1.0])
+        with pytest.raises(qs.ValidationError, match="non-finite"):
+            ch.Povm([effect, np.eye(2) - np.diag([0.5, 1.0])])
 
 
 class TestTwirl:

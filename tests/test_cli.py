@@ -304,6 +304,12 @@ class TestMalformedInput:
         assert code == 2
         assert "parse error" in err
 
+    def test_empty_dims(self, capsys):
+        code, out, err = run(capsys, ["verify", "--prop", "2", "--dims", ","])
+        assert (code, out) == (3, "")
+        assert len(err.splitlines()) == 1
+        assert "dims" in err
+
     def test_non_finite_tolerance(self, capsys):
         code, _, err = run(capsys, ["verify", "--prop", "1a", "--trials", "2", "--tol", "nan"])
         assert code == 3

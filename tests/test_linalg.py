@@ -99,6 +99,41 @@ class TestReduceState:
         assert np.allclose(la.reduce_state(m, [2, 2, 2], [1]), expected)
 
 
+class TestBatchedKernels:
+    """Each stack-aware kernel equals its per-matrix result, bit for bit."""
+
+    def test_reduce_state_and_tensor_product(self):
+        rng = np.random.default_rng(4)
+        stack = np.stack([random_hermitian(rng, 6) for _ in range(5)])
+        small = np.stack([random_hermitian(rng, 2) for _ in range(5)])
+        for keep in ([0], [1]):
+            batch = la.reduce_state(stack, [2, 3], keep)
+            for m, r in zip(stack, batch):
+                assert np.array_equal(la.reduce_state(m, [2, 3], keep), r)
+        oracle = keep_a_oracle(stack[0], 2, 3)
+        assert np.array_equal(la.reduce_state(stack, [2, 3], [0])[0], oracle)
+        batch = la.tensor_product(small, stack)
+        for a, b, t in zip(small, stack, batch):
+            assert np.array_equal(np.kron(a, b), t)
+
+    def test_eigvals_and_purity(self):
+        rng = np.random.default_rng(5)
+        stack = np.stack([random_hermitian(rng, 4) for _ in range(5)])
+        values = la.hermitian_eigvals(stack)
+        for m, v in zip(stack, values):
+            assert np.array_equal(la.hermitian_eigvals(m), v)
+            assert la.hs_norm_sq(m) == pytest.approx(np.trace(m @ m).real, abs=1e-12)
+
+    def test_apply_kraus(self):
+        kraus = np.stack([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]).astype(complex)
+        plus = np.full((2, 2), 0.5, dtype=complex)
+        assert np.array_equal(la.apply_kraus(kraus, plus), np.eye(2) / 2)
+
+    def test_eig_limit_applies_to_stacks(self):
+        with pytest.raises(la.DimensionMismatchError):
+            la.hermitian_eigvals(np.zeros((2, la.MAX_EIG_DIM + 1, la.MAX_EIG_DIM + 1)))
+
+
 class TestHermitianEig:
     def test_diagonal_input(self):
         vals, _ = la.hermitian_eig(np.diag([0.25, 0.75]).astype(complex))

@@ -155,6 +155,9 @@ class TestTwoDrawMc:
     def test_deterministic_distribution(self):
         assert pt.two_draw_distinction_mc([1.0, 0.0], trials=1000, seed=1) == 0.0
 
+    def test_deterministic_distribution_over_two_chunks(self):
+        assert pt.two_draw_distinction_mc([1.0, 0.0], trials=pt.MC_CHUNK + 1, seed=1) == 0.0
+
     def test_uniform_two_within_ci(self):
         trials = 10**6
         est = pt.two_draw_distinction_mc([0.5, 0.5], trials=trials, seed=123)

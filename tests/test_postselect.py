@@ -45,6 +45,10 @@ class TestPrePostState:
         with pytest.raises(qs.ValidationError):
             ps.PrePostPair(np.array([1.0, 1.0]), KET0)
 
+    def test_rejects_non_finite_vectors(self):
+        with pytest.raises(qs.ValidationError, match="non-finite"):
+            ps.PrePostPair(np.array([np.nan, 1.0]), KET0)
+
 
 class TestWeakValues:
     def test_plus_zero_pair(self):

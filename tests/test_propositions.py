@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from qlogent import linalg as la
+from qlogent import partitions as pt
 from qlogent import propositions as pr
 from qlogent import states as qs
-from qlogent.sampling import sample_density, sample_pvm
+from qlogent.sampling import sample_densities, sample_density, sample_pvm, sample_unitaries
 from qlogent.states import DensityMatrix
 
 
@@ -15,6 +17,10 @@ class TestSamplerConfig:
     def test_rejects_bad_trials(self):
         with pytest.raises(ValueError):
             pr.SamplerConfig(seed=0, trials=0)
+
+    def test_rejects_empty_dims(self):
+        with pytest.raises(ValueError, match="dims"):
+            pr.SamplerConfig(seed=0, trials=1, dims=())
 
     def test_rejects_dim_one(self):
         with pytest.raises(ValueError):
@@ -63,6 +69,70 @@ class TestVerifyProposition:
         res = pr.verify_proposition("2", small_cfg(seed=9, trials=5))
         rerun = pr.verify_proposition("2", small_cfg(seed=9, trials=5))
         assert res.to_dict() == rerun.to_dict()
+
+
+class TestBlocks:
+    @pytest.mark.parametrize("prop_id", pr.PROPOSITION_IDS)
+    def test_first_trials_do_not_depend_on_block_length(self, prop_id):
+        full = pr.block_violations(prop_id, 42, 3, 1, pr.TRIALS_PER_BLOCK)
+        for n in (1, 2, 37):
+            assert np.array_equal(pr.block_violations(prop_id, 42, 3, 1, n), full[:n])
+
+    def test_block_length_is_bounded(self):
+        with pytest.raises(ValueError):
+            pr.block_violations("2", 0, 2, 0, pr.TRIALS_PER_BLOCK + 1)
+
+    def test_report_matches_per_trial_reference(self):
+        # tolerance 0 makes rounding-level equality residues count as failures
+        trials = pr.TRIALS_PER_BLOCK + 40
+        cfg = pr.SamplerConfig(seed=3, trials=trials, dims=(2, 3), tolerance=0.0)
+        res = pr.verify_proposition("1c", cfg)
+        rows = []
+        for dim in cfg.dims:
+            for t in range(trials):
+                block, row = divmod(t, pr.TRIALS_PER_BLOCK)
+                v = pr.block_violations("1c", 3, dim, block, row + 1)[row]
+                rows.append([3, dim, t, float(v)])
+        failing = [r for r in rows if r[3] > 0.0]
+        assert res.trials_run == len(rows)
+        assert res.failure_count == len(failing) > 10
+        assert res.failure_examples == failing[:10]
+        assert res.worst_violation == max(0.0, max(r[3] for r in rows))
+        assert res.status == pr.STATUS_VIOLATED
+
+    def test_prop2_matches_per_trial_library_calls(self):
+        # trial t pairs dim 2 with 2 (even t) or 3 (odd t), drawn from its parity's stream
+        tag = int.from_bytes(b"2", "big")
+        v = pr.block_violations("2", 8, 2, 0, 10)
+        for db, rows in ((2, range(0, 10, 2)), (3, range(1, 10, 2))):
+            states = sample_densities(8, len(rows), 2 * db, None, 0, tag, db, 0)
+            for t, mat in zip(rows, states):
+                rho = DensityMatrix(mat, (2, db))
+                expected = (
+                    qs.logical_entropy(rho)
+                    - qs.logical_entropy(rho.reduced("A"))
+                    - qs.logical_entropy(rho.reduced("B"))
+                )
+                assert v[t] == pytest.approx(expected, abs=1e-14)
+
+    def test_prop3_matches_per_outcome_sandwich(self):
+        tag = int.from_bytes(b"3", "big")
+        v = pr.block_violations("3", 8, 3, 0, 6)
+        for db, rows in ((2, range(0, 6, 2)), (3, range(1, 6, 2))):
+            states = sample_densities(8, len(rows), 3 * db, None, 0, tag, db, 0)
+            bases = sample_unitaries(8, len(rows), 3, 1, tag, db, 0)
+            for t, mat, basis in zip(rows, states, bases):
+                rho = DensityMatrix(mat, (3, db))
+                bound = qs.logical_entropy(rho.reduced("A"))
+                for k in range(3):
+                    # conditional state from the literal sandwich (A_k (x) I) rho (A_k (x) I)
+                    proj = np.kron(np.outer(basis[:, k], basis[:, k].conj()), np.eye(db))
+                    m_k = la.reduce_state(proj @ mat @ proj, [3, db], [1])
+                    p_k = np.trace(m_k).real
+                    if p_k > qs.OUTCOME_EPS:
+                        cond = DensityMatrix.trusted((m_k + m_k.conj().T) / 2 / p_k)
+                        bound += p_k * qs.logical_entropy(cond)
+                assert v[t] == pytest.approx(qs.logical_entropy(rho) - bound, abs=1e-14)
 
 
 class TestStrongSubadditivity:
@@ -114,6 +184,11 @@ class TestTwoDrawQuantumMc:
         est = pr.two_draw_quantum_mc(rho, qs.Pvm.computational(3), trials, 12)
         sigma = np.sqrt((2 / 3) * (1 / 3) / trials)
         assert abs(est - 2 / 3) <= 3 * sigma
+
+    def test_pure_state_own_basis_over_two_chunks(self):
+        rho = DensityMatrix.pure(np.array([1.0, 0.0]))
+        trials = pt.MC_CHUNK + 1
+        assert pr.two_draw_quantum_mc(rho, qs.Pvm.computational(2), trials, 0) == 0.0
 
     def test_seeded_reproducibility(self):
         rho = sample_density(4, 3)

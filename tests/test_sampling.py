@@ -104,12 +104,64 @@ class TestStreamSplitting:
         with pytest.raises(ValueError, match="seed"):
             sp.rng_for(seed)
 
+    def test_words_after_the_third_change_the_stream(self):
+        a = sp.rng_for(1, 1, 2, 3, 4).standard_normal(4)
+        b = sp.rng_for(1, 1, 2, 3, 5).standard_normal(4)
+        assert not np.array_equal(a, b)
+
+    def test_trailing_zero_word_changes_the_stream(self):
+        a = sp.rng_for(1).standard_normal(4)
+        b = sp.rng_for(1, 0).standard_normal(4)
+        assert not np.array_equal(a, b)
+
+    def test_trial_index_changes_bipartite_sample(self):
+        # the per-trial call pattern of the bipartite sampler: the trial is the last word
+        mats = [sp.sample_density(42, 6, None, 0xAB, 2, 3, t).mat for t in range(4)]
+        assert all(not np.array_equal(mats[0], m) for m in mats[1:])
+        rows = sp.sample_densities(42, 4, 6, None, 0xAB, 2, 3)
+        assert all(not np.array_equal(rows[0], r) for r in rows[1:])
+
+    def test_trial_index_changes_pvm(self):
+        blocks = [sp.sample_pvm(42, 3, None, 0x33, t).blocks[0] for t in range(4)]
+        assert all(not np.array_equal(blocks[0], b) for b in blocks[1:])
+
+    @pytest.mark.parametrize(
+        "draw",
+        [
+            lambda n: sp.sample_densities(5, n, 3, None, 7),
+            lambda n: sp.sample_densities(5, n, 4, 1, 7),
+            lambda n: sp.sample_state_vectors(5, n, 3, 7),
+            lambda n: sp.sample_unitaries(5, n, 3, 7),
+            lambda n: sp.sample_weight_vectors(5, n, 3, 7),
+            lambda n: sp.sample_ragged_weights(5, n, 7),
+            lambda n: sp.sample_unital_channels(5, n, 3, 7)[1],
+            lambda n: sp.sample_unital_channels(5, n, 3, 7)[2],
+            lambda n: sp.sample_orthogonal_support_mixtures(5, n, [2, 3], 7)[1],
+        ],
+    )
+    def test_first_rows_do_not_depend_on_batch_size(self, draw):
+        full = draw(40)
+        for n in (1, 3, 17):
+            assert np.array_equal(draw(n), full[:n])
+
+    def test_single_samplers_are_the_first_batch_row(self):
+        rho = sp.sample_density(5, 3, None, 7).mat
+        assert np.array_equal(rho, sp.sample_densities(5, 1, 3, None, 7)[0])
+        assert np.array_equal(sp.sample_unitary(5, 3, 7), sp.sample_unitaries(5, 1, 3, 7)[0])
+        psi = sp.sample_state_vector(5, 3, 7)
+        assert np.array_equal(psi, sp.sample_state_vectors(5, 1, 3, 7)[0])
+
+    def test_ragged_weights_have_two_to_four_terms(self):
+        w = sp.sample_ragged_weights(2, 500, 9)
+        assert np.allclose(np.sum(w, axis=1), 1.0, atol=1e-12)
+        assert set(np.count_nonzero(w, axis=1)) == {2, 3, 4}
+
     def test_orthogonal_support_mixture(self):
-        w, parts = sp.sample_orthogonal_support_mixture(3, [2, 3])
+        w, parts = sp.sample_orthogonal_support_mixtures(3, 1, [2, 3])
         assert abs(float(np.sum(w)) - 1.0) <= 1e-12
-        assert len(parts) == 2
+        assert parts.shape == (1, 2, 5, 5)
         # supports do not overlap
-        assert np.max(np.abs(parts[0].mat @ parts[1].mat)) <= 1e-12
+        assert np.max(np.abs(parts[0, 0] @ parts[0, 1])) <= 1e-12
 
     def test_unital_channel_families(self):
         kinds = set()
