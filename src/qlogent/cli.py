@@ -19,7 +19,6 @@ from .propositions import (
     verify_proposition,
 )
 from .states import (
-    DensityMatrix,
     ValidationError,
     basis_decomposition_check,
     fidelity,
@@ -40,25 +39,8 @@ EXIT_VERIFY = 5
 EXIT_ORTHOGONAL = 6
 
 
-def _load_density(path: str) -> tuple[DensityMatrix, dict]:
-    parsed = reports.load_matrix_file(path)
-    rho = reports.density_from_file(parsed)
-    return rho, {"path": path, "sha256": parsed["sha256"]}
-
-
-def _load_pvm(path: str) -> tuple:
-    pvm, digest = reports.pvm_from_file(path)
-    return pvm, {"path": path, "sha256": digest}
-
-
-def _load_vector(path: str) -> tuple[np.ndarray, dict]:
-    parsed = reports.load_matrix_file(path)
-    vec = reports.vector_from_file(parsed)
-    return vec, {"path": path, "sha256": parsed["sha256"]}
-
-
 def cmd_entropy(args) -> dict:
-    rho, rho_info = _load_density(args.infile)
+    rho, rho_info = reports.load_matrix_file(args.infile, "density")
     inputs = {"rho": rho_info}
     results = {
         "logical_entropy": logical_entropy(rho),
@@ -67,7 +49,7 @@ def cmd_entropy(args) -> dict:
     }
     warnings: list[str] = []
     if args.pvm is not None:
-        pvm, pvm_info = _load_pvm(args.pvm)
+        pvm, pvm_info = reports.load_matrix_file(args.pvm, "pvm")
         inputs["pvm"] = pvm_info
         rho_meas = measured_state(rho, pvm)
         results["pvm_logical_entropy"] = pvm_logical_entropy(rho, pvm)
@@ -89,8 +71,8 @@ def cmd_entropy(args) -> dict:
 
 
 def cmd_divergence(args) -> dict:
-    rho, a_info = _load_density(args.a_file)
-    sigma, b_info = _load_density(args.b_file)
+    rho, a_info = reports.load_matrix_file(args.a_file, "density")
+    sigma, b_info = reports.load_matrix_file(args.b_file, "density")
     d_hs = logical_divergence(rho, sigma)
     results = {
         "divergence": d_hs,
@@ -103,7 +85,7 @@ def cmd_divergence(args) -> dict:
 
 
 def cmd_relative(args) -> dict:
-    rho, rho_info = _load_density(args.infile)
+    rho, rho_info = reports.load_matrix_file(args.infile, "density")
     if rho.dims is None or len(rho.dims) != 2:
         if args.dims:
             rho = rho.with_dims(tuple(args.dims))
@@ -141,9 +123,9 @@ def cmd_verify(args) -> tuple[dict, int]:
 
 
 def cmd_postselect(args) -> dict:
-    pre, pre_info = _load_vector(args.pre)
-    post, post_info = _load_vector(args.post)
-    pvm, pvm_info = _load_pvm(args.pvm)
+    pre, pre_info = reports.load_matrix_file(args.pre, "vector")
+    post, post_info = reports.load_matrix_file(args.post, "vector")
+    pvm, pvm_info = reports.load_matrix_file(args.pvm, "pvm")
     pair = ps.PrePostPair(pre, post)
     rho = ps.pre_post_state(pair)
     w = ps.weak_values(rho, pvm)
@@ -177,8 +159,8 @@ def cmd_postselect(args) -> dict:
 
 
 def cmd_sample(args) -> dict:
-    rho, rho_info = _load_density(args.infile)
-    pvm, pvm_info = _load_pvm(args.pvm)
+    rho, rho_info = reports.load_matrix_file(args.infile, "density")
+    pvm, pvm_info = reports.load_matrix_file(args.pvm, "pvm")
     analytic = pvm_logical_entropy(rho, pvm)
     estimate = two_draw_quantum_mc(rho, pvm, args.trials, args.seed)
     sigma = float(np.sqrt(max(analytic * (1.0 - analytic), 0.0) / args.trials))

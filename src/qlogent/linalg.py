@@ -92,11 +92,6 @@ def apply_kraus(kraus: np.ndarray, rho: np.ndarray) -> np.ndarray:
     return (out + dagger(out)) / 2
 
 
-def column_projectors(basis: np.ndarray) -> np.ndarray:
-    """|b_k><b_k| for each column b_k of each basis in a stack: (..., d, d) -> (..., d, d, d)."""
-    return np.einsum("...ik,...jk->...kij", basis, basis.conj())
-
-
 def reduce_state(m: np.ndarray, dims: list[int], keep: list[int]) -> np.ndarray:
     """Partial trace over all factors not listed in keep, per matrix of a stack."""
     m = as_stack(m)

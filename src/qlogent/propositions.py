@@ -17,8 +17,7 @@ from . import sampling as sp
 from .channels import InteractionBlocks, prop6_bounds
 from .partitions import distinct_pair_fraction
 from .reports import matrix_to_pairs
-from .states import OUTCOME_EPS, DensityMatrix, Pvm, conditional_blocks, outcome_probabilities
-from .states import reference_states
+from .states import OUTCOME_EPS, DensityMatrix, Pvm, outcome_probabilities, reference_states
 
 STATUS_VERIFIED = "verified"
 STATUS_VIOLATED = "violated"
@@ -171,7 +170,11 @@ def _check_2(b: _Block, db: int) -> np.ndarray:
 def _check_3(b: _Block, db: int) -> np.ndarray:
     # conditional B states for a Haar PVM on A; outcomes with p <= OUTCOME_EPS are dropped
     rho = b.densities(0, b.dim * db)
-    m, p = conditional_blocks(rho, la.column_projectors(b.unitaries(1, b.dim)), b.dim, db)
+    u = b.unitaries(1, b.dim)
+    # outcome k projects A on column u_k: m_k[b, e] = sum_{c,d} conj(u_ck) u_dk rho[(c, b), (d, e)]
+    half = np.einsum("nck,ncbde->nkbde", u.conj(), rho.reshape(-1, b.dim, db, b.dim, db))
+    m = np.einsum("ndk,nkbde->nkbe", u, half)
+    p = np.einsum("nkbb->nk", m).real
     kept = p > OUTCOME_EPS
     cond = (m + la.dagger(m)) / 2 / np.where(kept, p, 1.0)[..., None, None]
     branches = np.sum(np.where(kept, p * _entropy(cond), 0.0), axis=1)

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import sys
 
 import numpy as np
 
@@ -19,70 +18,53 @@ class ParseError(ValueError):
     """Input file is not a well-formed matrix file."""
 
 
-def complex_to_pair(z: complex) -> list[float]:
-    return [float(z.real), float(z.imag)]
+def matrix_to_pairs(m) -> list:
+    """Nested lists of [re, im] pairs for a complex array of any shape."""
+    m = np.asarray(m, dtype=complex)
+    return np.stack([m.real, m.imag], -1).tolist()
 
 
-def matrix_to_pairs(m: np.ndarray) -> list:
-    return [[complex_to_pair(z) for z in row] for row in np.asarray(m, dtype=complex)]
+_NOT_FINITE = "expected [re, im] pairs of finite numbers"
 
 
-def vector_to_pairs(v: np.ndarray) -> list:
-    return [complex_to_pair(z) for z in np.asarray(v, dtype=complex).ravel()]
+def pairs_to_array(entries, ndim: int) -> np.ndarray:
+    """Complex array with ndim axes from nested lists of [re, im] pairs of finite numbers."""
+    # object dtype keeps the parsed values, so booleans (which numpy would turn
+    # into 0 and 1), strings and nulls can be told apart from numbers
+    a = np.array(entries, dtype=object)
+    if a.ndim != ndim + 1 or a.shape[-1] != 2 or 0 in a.shape:
+        name = "vector" if ndim == 1 else "matrix"
+        raise ParseError(f"expected a non-empty rectangular {name} of [re, im] pairs")
+    if not set(map(type, a.flat)) <= {int, float}:
+        raise ParseError(_NOT_FINITE)
+    try:
+        a = a.astype(float)
+    except OverflowError:  # an integer beyond the float range
+        raise ParseError(_NOT_FINITE) from None
+    if not np.isfinite(a).all():
+        raise ParseError(_NOT_FINITE)
+    return a.view(complex)[..., 0]
 
 
-def _pair_to_complex(entry) -> complex:
-    # the bound rejects NaN, +-Infinity (json.loads accepts them) and integers
-    # too large for a float
-    if (
-        not isinstance(entry, (list, tuple))
-        or len(entry) != 2
-        or not all(
-            isinstance(x, (int, float))
-            and not isinstance(x, bool)
-            and abs(x) <= sys.float_info.max
-            for x in entry
-        )
-    ):
-        raise ParseError(f"expected an [re, im] pair of finite numbers, got {entry!r}")
-    return complex(entry[0], entry[1])
+def _reject_constant(name: str):
+    raise ParseError(f"{_NOT_FINITE}, got {name}")
 
 
-def pairs_to_matrix(rows) -> np.ndarray:
-    if not isinstance(rows, list) or not rows:
-        raise ParseError("matrix must be a non-empty nested array")
-    width = None
-    out = []
-    for row in rows:
-        if not isinstance(row, list):
-            raise ParseError("matrix rows must be arrays")
-        if width is None:
-            width = len(row)
-        elif len(row) != width:
-            raise ParseError("matrix is not rectangular")
-        out.append([_pair_to_complex(e) for e in row])
-    return np.array(out, dtype=complex)
+def load_matrix_file(path: str, kind: str):
+    """Read a density, vector or pvm file; returns (object, {"path", "sha256"}).
 
-
-def pairs_to_vector(entries) -> np.ndarray:
-    if not isinstance(entries, list) or not entries:
-        raise ParseError("vector must be a non-empty array of [re, im] pairs")
-    return np.array([_pair_to_complex(e) for e in entries], dtype=complex)
-
-
-def load_matrix_file(path: str) -> dict:
-    """Parse a matrix file into {kind, dims, payload} without semantic validation."""
+    The object is a validated DensityMatrix, a complex vector or a validated Pvm.
+    """
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
-        doc = json.loads(raw)
-    except (OSError, json.JSONDecodeError) as exc:
+        doc = json.loads(raw, parse_constant=_reject_constant)
+    except (OSError, ValueError, RecursionError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
-    if not isinstance(doc, dict) or "kind" not in doc or "matrix" not in doc:
-        raise ParseError(f"{path}: expected an object with 'kind' and 'matrix'")
-    kind = doc["kind"]
-    if kind not in ("density", "vector"):
-        raise ParseError(f"{path}: unknown kind {kind!r}")
+    info = {"path": path, "sha256": hashlib.sha256(raw).hexdigest()}
+    key = "blocks" if kind == "pvm" else "matrix"
+    if not isinstance(doc, dict) or doc.get("kind") != kind or key not in doc:
+        raise ParseError(f"{path}: expected an object with kind {kind!r} and {key!r}")
     dims = doc.get("dims")
     if dims is not None:
         if not isinstance(dims, list) or not all(
@@ -90,60 +72,35 @@ def load_matrix_file(path: str) -> dict:
         ):
             raise ParseError(f"{path}: dims must be a list of positive integers")
         dims = tuple(dims)
-    if kind == "vector":
-        payload = pairs_to_vector(doc["matrix"])
-    else:
-        payload = pairs_to_matrix(doc["matrix"])
-        if payload.shape[0] != payload.shape[1]:
-            raise ParseError(f"{path}: {kind} matrix must be square")
-    return {"kind": kind, "dims": dims, "payload": payload, "sha256": _digest(raw)}
-
-
-def _digest(raw: bytes) -> str:
-    return hashlib.sha256(raw).hexdigest()
-
-
-def density_from_file(parsed: dict) -> DensityMatrix:
-    if parsed["kind"] != "density":
-        raise ParseError(f"expected kind 'density', got {parsed['kind']!r}")
-    return DensityMatrix(parsed["payload"], parsed["dims"])
-
-
-def pvm_from_file(path: str) -> tuple[Pvm, str]:
-    """Parse a PVM file: {"kind": "pvm", "blocks": [matrix, ...]}."""
+    # rebinding entries to arrays releases the parsed lists before validation
+    # allocates its temporaries
+    entries = doc.pop(key)
+    del doc, raw
     try:
-        with open(path, "rb") as fh:
-            raw = fh.read()
-        doc = json.loads(raw)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ParseError(f"{path}: {exc}") from exc
-    if (
-        not isinstance(doc, dict)
-        or doc.get("kind") != "pvm"
-        or not isinstance(doc.get("blocks"), list)
-        or not doc["blocks"]
-    ):
-        raise ParseError(
-            f"{path}: expected an object with kind 'pvm' and a non-empty 'blocks' list"
-        )
-    blocks = [pairs_to_matrix(b) for b in doc["blocks"]]
-    return Pvm(blocks), _digest(raw)
-
-
-def vector_from_file(parsed: dict) -> np.ndarray:
-    if parsed["kind"] != "vector":
-        raise ParseError(f"expected kind 'vector', got {parsed['kind']!r}")
-    return parsed["payload"]
+        if kind != "pvm":
+            entries = pairs_to_array(entries, 1 if kind == "vector" else 2)
+        elif not isinstance(entries, list) or not entries:
+            raise ParseError("'blocks' must be a non-empty list")
+        else:
+            # decoded one by one, not stacked, so Pvm can report blocks of mixed dimension
+            entries = [pairs_to_array(b, 2) for b in entries]
+    except ParseError as exc:
+        raise ParseError(f"{path}: {exc}") from None
+    if kind == "vector":
+        return entries, info
+    if kind == "pvm":
+        return Pvm(entries), info
+    if entries.shape[0] != entries.shape[1]:
+        raise ParseError(f"{path}: density matrix must be square")
+    return DensityMatrix(entries, dims), info
 
 
 def write_matrix_file(path: str, kind: str, matrix, dims=None) -> None:
     doc = {"kind": kind}
     if dims is not None:
         doc["dims"] = list(dims)
-    if kind == "vector":
-        doc["matrix"] = vector_to_pairs(matrix)
-    else:
-        doc["matrix"] = matrix_to_pairs(la.as_matrix(matrix))
+    matrix = np.ravel(matrix) if kind == "vector" else la.as_matrix(matrix)
+    doc["matrix"] = matrix_to_pairs(matrix)
     with open(path, "w") as fh:
         fh.write(dumps_stable(doc))
         fh.write("\n")
@@ -181,7 +138,7 @@ def _emit(obj, parts: list[str]) -> None:
     elif isinstance(obj, (float, np.floating)):
         parts.append(_format_float(float(obj)))
     elif isinstance(obj, complex):
-        _emit(complex_to_pair(obj), parts)
+        _emit([obj.real, obj.imag], parts)
     elif isinstance(obj, str):
         parts.append(json.dumps(obj))
     elif isinstance(obj, dict):

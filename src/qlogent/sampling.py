@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import linalg as la
-
 _PHILOX_KEY_LIMIT = 1 << 64
 
 
@@ -117,9 +115,10 @@ def sample_unital_channels(seed: int, n: int, dim: int, *stream: int):
 
 def sample_unital_channel(seed: int, dim: int, *stream: int):
     from .channels import UnitalChannel
+    from .states import Pvm
 
     mixing, kraus, bases = sample_unital_channels(seed, 1, dim, *stream)
-    ops = kraus[0] if mixing[0] else la.column_projectors(bases[0])
+    ops = kraus[0] if mixing[0] else Pvm.from_basis(bases[0]).blocks
     return UnitalChannel([k for k in ops if k.any()])
 
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from . import linalg as la
@@ -39,7 +41,7 @@ class DensityMatrix:
         mat = la.as_matrix(mat)
         if dims is not None:
             dims = tuple(int(d) for d in dims)
-            prod = int(np.prod(dims))
+            prod = math.prod(dims)  # exact; np.prod wraps around in int64
             if prod != mat.shape[0]:
                 raise DimensionMismatchError(
                     f"factor dims {dims} do not multiply to {mat.shape[0]}"
@@ -110,8 +112,12 @@ class DensityMatrix:
         return cls.trusted(np.eye(dim, dtype=complex) / dim, dims)
 
 
+def _max_abs(m: np.ndarray) -> np.ndarray:
+    return np.max(np.abs(m), axis=(-2, -1))
+
+
 class Pvm:
-    """Ordered list of mutually orthogonal projectors summing to identity."""
+    """Mutually orthogonal projectors summing to identity, stacked as blocks of shape (k, d, d)."""
 
     __slots__ = ("blocks", "non_degenerate")
 
@@ -120,32 +126,33 @@ class Pvm:
         if not blocks:
             raise ValidationError("PVM needs at least one block")
         dim = blocks[0].shape[0]
-        total = np.zeros((dim, dim), dtype=complex)
-        for i, b in enumerate(blocks):
-            if b.shape[0] != dim:
-                raise DimensionMismatchError("PVM blocks of mixed dimension")
-            # a projector's entries are at most 1 in magnitude; the bound also
-            # rejects NaN and inf and keeps the products below from overflowing
-            if not np.abs(b).max() <= 1.0 + HERMITICITY_TOL:
-                raise ValidationError(f"block {i} has non-finite entries or entries above 1")
-            require_hermitian(b)
-            if np.max(np.abs(b @ b - b)) > HERMITICITY_TOL:
-                raise ValidationError(f"block {i} not idempotent")
-            total += b
-        if np.max(np.abs(total - np.eye(dim))) > HERMITICITY_TOL:
+        if any(b.shape[0] != dim for b in blocks):
+            raise DimensionMismatchError("PVM blocks of mixed dimension")
+        blocks = np.stack(blocks)
+        # a projector's entries are at most 1 in magnitude; the bound also
+        # rejects NaN and inf and keeps the products below from overflowing
+        bad = ~(_max_abs(blocks) <= 1.0 + HERMITICITY_TOL)
+        if bad.any():
+            raise ValidationError(
+                f"block {np.argmax(bad)} has non-finite entries or entries above 1"
+            )
+        require_hermitian(blocks)
+        bad = _max_abs(blocks @ blocks - blocks) > HERMITICITY_TOL
+        if bad.any():
+            raise ValidationError(f"block {np.argmax(bad)} not idempotent")
+        if np.max(np.abs(np.sum(blocks, axis=0) - np.eye(dim))) > HERMITICITY_TOL:
             raise ValidationError("PVM blocks do not sum to identity")
-        for i in range(len(blocks)):
-            for j in range(i + 1, len(blocks)):
-                if np.max(np.abs(blocks[i] @ blocks[j])) > HERMITICITY_TOL:
-                    raise ValidationError(f"blocks {i},{j} not orthogonal")
-        self.blocks = tuple(blocks)
-        self.non_degenerate = all(
-            abs(float(np.trace(b).real) - 1.0) <= TRACE_TOL for b in blocks
-        )
+        for i in range(len(blocks) - 1):
+            bad = _max_abs(blocks[i] @ blocks[i + 1:]) > HERMITICITY_TOL
+            if bad.any():
+                raise ValidationError(f"blocks {i},{i + 1 + np.argmax(bad)} not orthogonal")
+        self.blocks = blocks
+        traces = np.einsum("kii->k", blocks).real
+        self.non_degenerate = bool(np.all(np.abs(traces - 1.0) <= TRACE_TOL))
 
     @property
     def dim(self) -> int:
-        return self.blocks[0].shape[0]
+        return self.blocks.shape[1]
 
     def __len__(self) -> int:
         return len(self.blocks)
@@ -189,7 +196,7 @@ def logical_entropy(rho: DensityMatrix) -> float:
 def outcome_probabilities(rho: DensityMatrix, pvm: Pvm) -> np.ndarray:
     if pvm.dim != rho.dim:
         raise DimensionMismatchError(f"PVM dim {pvm.dim} vs state dim {rho.dim}")
-    q = np.array([float(np.real(np.trace(b @ rho.mat))) for b in pvm.blocks])
+    q = np.einsum("kij,ji->k", pvm.blocks, rho.mat).real
     return np.clip(q, 0.0, 1.0)
 
 
@@ -197,9 +204,7 @@ def measured_state(rho: DensityMatrix, pvm: Pvm) -> DensityMatrix:
     """Non-selective post-measurement state sum_i B_i rho B_i."""
     if pvm.dim != rho.dim:
         raise DimensionMismatchError(f"PVM dim {pvm.dim} vs state dim {rho.dim}")
-    out = np.zeros_like(rho.mat)
-    for b in pvm.blocks:
-        out += b @ rho.mat @ b
+    out = np.sum(pvm.blocks @ rho.mat @ pvm.blocks, axis=0)
     return DensityMatrix.trusted((out + out.conj().T) / 2, rho.dims)
 
 
@@ -309,19 +314,10 @@ def conditional_states(
     da, db = rho_ab.bipartite_dims()
     if pvm_on_a.dim != da:
         raise DimensionMismatchError(f"PVM dim {pvm_on_a.dim} vs factor A dim {da}")
-    m, p = conditional_blocks(rho_ab.mat, np.stack(pvm_on_a.blocks), da, db)
-    return [
-        (float(p_k), DensityMatrix.trusted((m_k + m_k.conj().T) / 2 / p_k))
-        for m_k, p_k in zip(m, p)
-        if p_k > OUTCOME_EPS
-    ]
-
-
-def conditional_blocks(rho_ab: np.ndarray, projectors: np.ndarray, da: int, db: int):
-    """m_k = tr_A[(A_k (x) I) rho (A_k (x) I)] and p_k = tr m_k, over batch axes (..., K).
-
-    With A_k^2 = A_k, entry (b, e) of m_k is sum_{c,d} A_k[d, c] rho[(c, b), (d, e)].
-    """
-    r = rho_ab.reshape(*rho_ab.shape[:-2], da, db, da, db)
-    m = np.einsum("...kdc,...cbde->...kbe", projectors, r)
-    return m, np.einsum("...ii->...", m).real
+    # with A_k^2 = A_k, m_k = tr_A[(A_k (x) I) rho (A_k (x) I)] has entries
+    # m_k[b, e] = sum_{c,d} A_k[d, c] rho[(c, b), (d, e)]
+    m = np.einsum("kdc,cbde->kbe", pvm_on_a.blocks, rho_ab.mat.reshape(da, db, da, db))
+    p = np.einsum("kii->k", m).real
+    kept = p > OUTCOME_EPS
+    cond = (m + la.dagger(m))[kept] / 2 / p[kept, None, None]
+    return [(float(p_k), DensityMatrix.trusted(c)) for p_k, c in zip(p[kept], cond)]

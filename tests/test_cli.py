@@ -8,7 +8,7 @@ import pytest
 
 import qlogent
 from qlogent import cli, reports
-from qlogent.sampling import sample_density, sample_pvm
+from qlogent.sampling import sample_density, sample_pvm, sample_state_vector
 from qlogent.states import DensityMatrix, Pvm
 
 
@@ -49,7 +49,7 @@ def files(tmp_path):
 
 
 def write_pvm(path, pvm):
-    doc = {"kind": "pvm", "blocks": [reports.matrix_to_pairs(b) for b in pvm.blocks]}
+    doc = {"kind": "pvm", "blocks": reports.matrix_to_pairs(pvm.blocks)}
     path.write_text(reports.dumps_stable(doc) + "\n")
 
 
@@ -286,12 +286,29 @@ class TestMalformedInput:
              3, "non-finite"),
             ('{"kind": "density", "dims": [true, 2], "matrix": '
              '[[[0.5, 0], [0, 0]], [[0, 0], [0.5, 0]]]}', 2, "dims"),
+            # numpy would read true as 1.0
+            ('{"kind": "density", "matrix": [[[true, 0]]]}', 2, "finite numbers"),
+            ('{"kind": "density", "matrix": [[["1", 0]]]}', 2, "finite numbers"),
+            ('{"kind": "density", "matrix": [[[null, 0]]]}', 2, "finite numbers"),
+            ('{"kind": "density", "matrix": [[[0.5, 0], [0, 0]], [[0.5, 0]]]}', 2, "rectangular"),
+            ('{"kind": "density", "matrix": [[[1, 0, 0]]]}', 2, "[re, im] pairs"),
+            ('{"kind": "density", "matrix": [[1, 0]]}', 2, "matrix of [re, im] pairs"),
+            ('{"kind": "vector", "matrix": [[[1, 0]]]}', 2, "vector of [re, im] pairs"),
+            # the dims product is exact: in int64 it would wrap around to 4
+            ('{"kind": "density", "dims": [' + str(2**62 + 1) + ', 4], "matrix": '
+             + json.dumps(reports.matrix_to_pairs(np.eye(4) / 4)) + '}', 4, "do not multiply"),
+            # an integer beyond int64 still parses, as a float, and fails validation
+            ('{"kind": "density", "matrix": [[[' + str(2**70) + ', 0]]]}', 3, "trace"),
         ],
     )
     def test_density_file(self, capsys, tmp_path, text, code, phrase):
         path = tmp_path / "rho.json"
         path.write_text(text)
-        got, out, err = run(capsys, ["entropy", "--in", str(path)])
+        # vector files are read by postselect, every other file by entropy
+        argv = ["entropy", "--in", str(path)]
+        if '"kind": "vector"' in text:
+            argv = ["postselect", "--pre", str(path), "--post", str(path), "--pvm", str(path)]
+        got, out, err = run(capsys, argv)
         assert (got, out) == (code, "")
         assert len(err.splitlines()) == 1 and phrase in err, err
 
@@ -303,6 +320,14 @@ class TestMalformedInput:
         code, _, err = run(capsys, argv)
         assert code == 2
         assert "parse error" in err
+
+    def test_pvm_blocks_of_mixed_dimension_exit_4(self, files, capsys, tmp_path):
+        path = tmp_path / "pvm.json"
+        blocks = [reports.matrix_to_pairs(np.eye(2)), reports.matrix_to_pairs(np.zeros((3, 3)))]
+        path.write_text(reports.dumps_stable({"kind": "pvm", "blocks": blocks}))
+        code, out, err = run(capsys, ["entropy", "--in", files["mixed.json"], "--pvm", str(path)])
+        assert (code, out) == (4, "")
+        assert len(err.splitlines()) == 1 and "mixed dimension" in err
 
     def test_empty_dims(self, capsys):
         code, out, err = run(capsys, ["verify", "--prop", "2", "--dims", ","])
@@ -331,7 +356,7 @@ class TestMatrixFileRoundTrip:
         rho = sample_density(77, 4)
         p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
         reports.write_matrix_file(str(p1), "density", rho.mat)
-        loaded = reports.density_from_file(reports.load_matrix_file(str(p1)))
+        loaded, _ = reports.load_matrix_file(str(p1), "density")
         reports.write_matrix_file(str(p2), "density", loaded.mat)
         assert p1.read_bytes() == p2.read_bytes()
 
@@ -339,16 +364,15 @@ class TestMatrixFileRoundTrip:
         v = np.array([0.5 + 0.1j, -0.3j, 0.2, 0.7])
         p = tmp_path / "v.json"
         reports.write_matrix_file(str(p), "vector", v)
-        parsed = reports.load_matrix_file(str(p))
-        assert np.array_equal(reports.vector_from_file(parsed), v)
+        loaded, _ = reports.load_matrix_file(str(p), "vector")
+        assert np.array_equal(loaded, v)
 
     def test_pvm_round_trip(self, tmp_path):
         pvm = sample_pvm(5, 4, [2, 2])
         p = tmp_path / "p.json"
         write_pvm(p, pvm)
-        loaded, _ = reports.pvm_from_file(str(p))
-        for a, b in zip(loaded.blocks, pvm.blocks):
-            assert np.array_equal(a, b)
+        loaded, _ = reports.load_matrix_file(str(p), "pvm")
+        assert np.array_equal(loaded.blocks, pvm.blocks)
 
 
 class TestStableJson:
@@ -403,10 +427,15 @@ class TestBlasThreadDeterminism:
             reports.write_matrix_file(str(rho), "density", sample_density(d, d).mat, (2, d // 2))
             reports.write_matrix_file(str(sigma), "density", sample_density(d, d, None, 1).mat)
             write_pvm(pvm, sample_pvm(d, d))
+            pre, post = (tmp_path / f"{name}_{d}.json" for name in ("pre", "post"))
+            reports.write_matrix_file(str(pre), "vector", sample_state_vector(d, d, 2))
+            reports.write_matrix_file(str(post), "vector", sample_state_vector(d, d, 3))
             argvs += [
                 ["entropy", "--in", str(rho), "--pvm", str(pvm)],
                 ["divergence", str(rho), str(sigma)],
                 ["relative", "--in", str(rho)],
+                ["postselect", "--pre", str(pre), "--post", str(post), "--pvm", str(pvm)],
+                ["sample", "--in", str(rho), "--pvm", str(pvm), "--trials", "20000"],
             ]
         runs = [_cli_subprocess(argvs, threads) for threads in ("1", "4")]
         for proc in runs:

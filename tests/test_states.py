@@ -59,6 +59,21 @@ class TestPvm:
         with pytest.raises(qs.ValidationError, match="non-finite"):
             qs.Pvm([np.diag([entry, 0.0]), np.diag([0.0, 1.0])])
 
+    def test_names_the_first_failing_block(self):
+        with pytest.raises(qs.ValidationError, match="block 1 not idempotent"):
+            qs.Pvm([np.diag([1.0, 0.0]), np.diag([0.0, 0.5]), np.diag([0.0, 0.5])])
+        with pytest.raises(qs.ValidationError, match="block 2 has non-finite"):
+            qs.Pvm([np.diag([1.0, 0.0]), np.diag([0.0, 1.0]), np.diag([np.nan, 0.0])])
+
+    @pytest.mark.parametrize("groups", [None, [3, 5]])
+    def test_contractions_match_per_block_loops(self, groups):
+        rho = sample_density(21, 8)
+        pvm = sample_pvm(21, 8, groups)
+        q = np.array([np.trace(b @ rho.mat).real for b in pvm.blocks])
+        assert np.max(np.abs(qs.outcome_probabilities(rho, pvm) - q)) <= 1e-14
+        meas = sum(b @ rho.mat @ b for b in pvm.blocks)
+        assert np.max(np.abs(qs.measured_state(rho, pvm).mat - meas)) <= 1e-14
+
     def test_coarse_flag(self):
         fine = comp_pvm(2)
         coarse = qs.Pvm.computational(4, groups=[2, 2])
