@@ -190,8 +190,21 @@ def _int_list(text: str) -> list[int]:
     return [int(x) for x in text.split(",") if x]
 
 
+class _Parser(argparse.ArgumentParser):
+    """Prints a usage error as one stderr line, like every other error; subparsers inherit it."""
+
+    def error(self, message):
+        self.exit(EXIT_PARSE, f"{self.prog}: error: {message}\n")
+
+    def _get_values(self, action, arg_strings):
+        # Python 3.11's argparse strips the "--" of "--trials=--" and returns [] unconverted
+        if action.option_strings and arg_strings == ["--"]:
+            return self._get_value(action, "--")
+        return super()._get_values(action, arg_strings)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qlogent",
         description="Logical entropies of classical and quantum states",
     )

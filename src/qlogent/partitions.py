@@ -10,6 +10,7 @@ from .sampling import rng_for
 
 PROB_SUM_TOL = 1e-9
 MC_CHUNK = 1 << 20  # draw pairs per Monte Carlo chunk; bounds its memory
+MC_COUNTED_OUTCOMES = 64  # up to this many outcomes, bins are counted, not binary-searched
 
 
 @dataclass(frozen=True)
@@ -75,6 +76,8 @@ def as_probability_vector(p) -> np.ndarray:
     p = np.asarray(p, dtype=float)
     if p.ndim != 1 or p.size == 0:
         raise ValueError("probability vector must be 1-dimensional and non-empty")
+    if not np.all(np.isfinite(p)):
+        raise ValueError("probabilities must be finite")
     if np.min(p) < -PROB_SUM_TOL or np.max(p) > 1 + PROB_SUM_TOL:
         raise ValueError("probabilities must lie in [0, 1]")
     if abs(float(np.sum(p)) - 1.0) > PROB_SUM_TOL:
@@ -111,10 +114,18 @@ def block_mass_entropy(p: SetPartition, probs) -> float:
 
 
 def distinct_pair_fraction(p: np.ndarray, trials: int, rng: np.random.Generator) -> float:
-    """Fraction of trials i.i.d. draw pairs from p that differ, drawn MC_CHUNK pairs at a time."""
+    """Fraction of i.i.d. pairs from a finite, normalised p that differ; draws match rng.choice."""
+    cdf = np.cumsum(p)
+    cdf /= cdf[-1]
     distinct = 0
     for start in range(0, trials, MC_CHUNK):
-        draws = rng.choice(p.size, size=(2, min(MC_CHUNK, trials - start)), p=p)
+        u = rng.random((2, min(MC_CHUNK, trials - start)))
+        if p.size > MC_COUNTED_OUTCOMES:
+            draws = cdf.searchsorted(u, side="right")
+        else:
+            draws = np.zeros(u.shape, dtype=np.uint8)
+            for c in cdf[:-1]:  # outcome = number of boundaries <= u, as cdf[-1] == 1 > u
+                draws += u >= c
         distinct += int(np.count_nonzero(draws[0] != draws[1]))
     return distinct / trials
 

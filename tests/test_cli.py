@@ -269,6 +269,48 @@ class TestExitCodes:
         assert code == 4
 
 
+class TestUsageErrors:
+    """argparse's own errors print one stderr line and exit 2; --help still works."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [],
+            ["bogus"],
+            ["verify", "--trials", "abc"],
+            ["verify", "--dims=2,x"],
+            ["sample", "--in", "rho.json"],
+            # Python 3.11's argparse passed these on as [], unconverted
+            ["verify", "--trials=--"],
+            ["verify", "--seed=--"],
+            ["verify", "--tol=--"],
+            ["sample", "--in", "rho.json", "--pvm", "pvm.json", "--trials=--"],
+        ],
+    )
+    def test_one_stderr_line_and_exit_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("qlogent")
+
+    def test_file_flag_given_dashes_is_a_missing_file(self, capsys):
+        code, out, err = run(capsys, ["entropy", "--in=--"])
+        assert (code, out) == (2, "")
+        assert err.startswith("parse error: --:")
+
+    @pytest.mark.parametrize("argv", [["--help"], ["sample", "--help"]])
+    def test_help_goes_to_stdout(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        captured = capsys.readouterr()
+        assert exc.value.code == 0
+        assert captured.out.startswith("usage: qlogent")
+        assert captured.err == ""
+
+
 class TestMalformedInput:
     """Bad files and flags end in one stderr line and an exit code, never a traceback."""
 

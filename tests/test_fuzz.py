@@ -3,9 +3,10 @@
 Every run must exit 0, 2, 3, 4, 5 or 6. A run that exits 0 or 5 writes its
 report and nothing to stderr; any other run writes nothing to stdout and one
 stderr line. Warnings count as failures, because the installed command would
-print them as extra stderr lines. Flag values are drawn from what argparse's
-type conversions accept: its own usage errors are argparse's to format.
-Examples are derandomised so the suite runs the same inputs every time.
+print them as extra stderr lines. Flag values include ones argparse's type
+conversions reject; its usage errors exit 2 through SystemExit and follow the
+same rules. Examples are derandomised so the suite runs the same inputs every
+time.
 """
 
 import contextlib
@@ -51,7 +52,10 @@ def check_run(argv):
     with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
             contextlib.redirect_stderr(err):
         warnings.simplefilter("error")
-        code = cli.main(argv)
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
     out, err = out.getvalue(), err.getvalue()
     assert code in (0, 2, 3, 4, 5, 6), (argv, code, err)
     if code in (0, 5):
@@ -182,9 +186,25 @@ def joined(items):
     return st.lists(items, max_size=3).map(lambda xs: ",".join(map(str, xs)))
 
 
+def rejected_by(convert):
+    """Flag text that the type conversion raises ValueError on."""
+    def fails(text):
+        try:
+            convert(text)
+        except ValueError:
+            return True
+        return False
+
+    return st.one_of(
+        st.sampled_from(["", "abc", "1.5", "1e3", "0x10", "nan", "--", "2,,x", "3,a"]),
+        st.text(max_size=6),
+    ).filter(fails)
+
+
 # trials and dims stay small so each run is short; seeds and tolerances range freely
-trials = st.one_of(st.integers(1, 40), st.integers(-3, 0))
-seed = st.one_of(st.integers(-3, 3), st.integers(-2**65, 2**65))
+trials = st.one_of(st.integers(1, 40), st.integers(-3, 0), rejected_by(int))
+seed = st.one_of(st.integers(-3, 3), st.integers(-2**65, 2**65), rejected_by(int))
+bad_dims = rejected_by(cli._int_list)
 flags = st.one_of(
     st.builds(
         lambda prop, dims, t, s, tol: [
@@ -193,10 +213,10 @@ flags = st.one_of(
         ],
         st.lists(st.sampled_from([*PROPOSITION_IDS, "ssa", "all", "99", ""]), min_size=1,
                  max_size=2).map(",".join),
-        joined(st.integers(-2, 4)),
+        st.one_of(joined(st.integers(-2, 4)), bad_dims),
         trials,
         seed,
-        st.floats(),
+        st.one_of(st.floats(), rejected_by(float)),
     ),
     st.builds(
         lambda t, s: ["sample", "--in", "RHO", "--pvm", "PVM", f"--trials={t}", f"--seed={s}"],
@@ -204,7 +224,7 @@ flags = st.one_of(
         seed,
     ),
     st.builds(lambda dims: ["relative", "--in", "RHO4", f"--dims={dims}"],
-              joined(st.integers(-4, 4))),
+              st.one_of(joined(st.integers(-4, 4)), bad_dims)),
 )
 
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qlogent import partitions as pt
+from qlogent.sampling import rng_for
 
 
 def dit_count_oracle(p: pt.SetPartition) -> int:
@@ -143,6 +144,18 @@ class TestDistributionEntropy:
         with pytest.raises(ValueError):
             pt.distribution_logical_entropy([1.5, -0.5])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, bad):
+        pair = pt.SetPartition.from_labels([0, 1])
+        for call in (
+            pt.distribution_logical_entropy,
+            lambda q: pt.block_mass_entropy(pair, q),
+            lambda q: pt.two_draw_distinction_mc(q, 10, 1),
+        ):
+            for q in ([bad, 1.0], [0.5, bad]):
+                with pytest.raises(ValueError, match="finite"):
+                    call(q)
+
     def test_block_mass_entropy_reduces_to_partition_entropy(self):
         p = pt.SetPartition.from_blocks([[0, 1], [2, 3], [4, 5]])
         uniform = np.full(6, 1 / 6)
@@ -185,3 +198,66 @@ class TestTwoDrawMc:
             for seed in range(200)
         )
         assert hits >= 199
+
+
+def choice_reference(p, trials, rng):
+    """Distinct-pair fraction from rng.choice, MC_CHUNK pairs at a time."""
+    distinct = 0
+    for start in range(0, trials, pt.MC_CHUNK):
+        draws = rng.choice(p.size, size=(2, min(pt.MC_CHUNK, trials - start)), p=p)
+        distinct += int(np.count_nonzero(draws[0] != draws[1]))
+    return distinct / trials
+
+
+def probabilities(k, zeros=()):
+    """Normalised positive weights of k outcomes, with the given outcomes set to 0."""
+    w = np.random.default_rng(k).random(k) + 0.01
+    w[list(zeros)] = 0.0
+    return w / np.sum(w)
+
+
+class FixedUniforms:
+    """Stands in for a generator whose random() returns the given (2, n) uniforms."""
+
+    def __init__(self, u):
+        self.u = np.asarray(u, dtype=float)
+
+    def random(self, shape):
+        assert shape == self.u.shape
+        return self.u
+
+
+class TestDrawKernel:
+    """distinct_pair_fraction gives the estimates rng.choice's draws give, bit for bit."""
+
+    @pytest.mark.parametrize("trials", [1, pt.MC_CHUNK, pt.MC_CHUNK + 1])
+    @pytest.mark.parametrize("k", [1, 2, 3, 8, 64, 65, 200])
+    def test_matches_choice(self, k, trials):
+        p = probabilities(k)
+        got = pt.distinct_pair_fraction(p, trials, rng_for(7, k))
+        assert got == choice_reference(p, trials, rng_for(7, k))
+
+    @pytest.mark.parametrize("where", ["first", "middle", "last"])
+    @pytest.mark.parametrize("k", [3, 8, 65])
+    def test_zero_probability_outcome_matches_choice(self, k, where):
+        zero = {"first": 0, "middle": k // 2, "last": k - 1}[where]
+        p = probabilities(k, [zero])
+        trials = pt.MC_CHUNK + 1
+        got = pt.two_draw_distinction_mc(p, trials, seed=3)
+        assert got == choice_reference(p, trials, rng_for(3, 0x7061))
+
+    @pytest.mark.parametrize("k", [8, 64, 65])
+    def test_uniforms_on_and_beside_each_boundary(self, k):
+        # outcome of u is the number of cdf entries <= u, as rng.choice's searchsorted gives
+        p = probabilities(k, [0, k // 2, k // 2 + 1, k - 1])
+        cdf = np.cumsum(p)
+        cdf /= cdf[-1]
+        inner = cdf[:-1]
+        u = np.unique(np.concatenate([
+            [0.0], inner, np.nextafter(inner, 0.0), np.nextafter(inner, 1.0),
+        ]))
+        u = u[(u >= 0.0) & (u < 1.0)]
+        outcome = cdf.searchsorted(u, side="right")
+        for a, b, oa, ob in zip(u, u[1:], outcome, outcome[1:]):
+            got = pt.distinct_pair_fraction(p, 1, FixedUniforms([[a], [b]]))
+            assert got == float(oa != ob), (a, b)

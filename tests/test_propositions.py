@@ -5,7 +5,13 @@ from qlogent import linalg as la
 from qlogent import partitions as pt
 from qlogent import propositions as pr
 from qlogent import states as qs
-from qlogent.sampling import sample_densities, sample_density, sample_pvm, sample_unitaries
+from qlogent.sampling import (
+    rng_for,
+    sample_densities,
+    sample_density,
+    sample_pvm,
+    sample_unitaries,
+)
 from qlogent.states import DensityMatrix
 
 
@@ -189,6 +195,18 @@ class TestTwoDrawQuantumMc:
         rho = DensityMatrix.pure(np.array([1.0, 0.0]))
         trials = pt.MC_CHUNK + 1
         assert pr.two_draw_quantum_mc(rho, qs.Pvm.computational(2), trials, 0) == 0.0
+
+    def test_matches_choice_draws_for_fine_d8_pvm(self):
+        rho, pvm = sample_density(5, 8), sample_pvm(5, 8)
+        q = qs.outcome_probabilities(rho, pvm)
+        q = q / np.sum(q)
+        rng = rng_for(8, 0x2D)
+        trials = pt.MC_CHUNK + 1
+        distinct = 0
+        for start in range(0, trials, pt.MC_CHUNK):
+            draws = rng.choice(8, size=(2, min(pt.MC_CHUNK, trials - start)), p=q)
+            distinct += int(np.count_nonzero(draws[0] != draws[1]))
+        assert pr.two_draw_quantum_mc(rho, pvm, trials, 8) == distinct / trials
 
     def test_seeded_reproducibility(self):
         rho = sample_density(4, 3)
