@@ -187,7 +187,10 @@ def _echo(args) -> dict:
 
 
 def _int_list(text: str) -> list[int]:
-    return [int(x) for x in text.split(",") if x]
+    try:
+        return [int(x) for x in text.split(",") if x]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from None
 
 
 class _Parser(argparse.ArgumentParser):

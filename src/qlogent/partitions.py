@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -11,6 +13,7 @@ from .sampling import rng_for
 PROB_SUM_TOL = 1e-9
 MC_CHUNK = 1 << 20  # draw pairs per Monte Carlo chunk; bounds its memory
 MC_COUNTED_OUTCOMES = 64  # up to this many outcomes, bins are counted, not binary-searched
+MC_MIN_SHARE = 1 << 16  # fewest pairs of the first chunk per worker thread
 
 
 @dataclass(frozen=True)
@@ -114,20 +117,76 @@ def block_mass_entropy(p: SetPartition, probs) -> float:
 
 
 def distinct_pair_fraction(p: np.ndarray, trials: int, rng: np.random.Generator) -> float:
-    """Fraction of i.i.d. pairs from a finite, normalised p that differ; draws match rng.choice."""
+    """Fraction of i.i.d. pairs from a finite, normalised p that differ; draws match rng.choice.
+
+    rng is a Philox generator; its key and position are read, and it is not
+    advanced. Pair j of the n-pair chunk that starts at pair s takes stream
+    draws 2s + j and 2s + n + j, as rng.random((2, n)) lays them out, so each
+    chunk splits into even shares, one per usable CPU, drawn from
+    counter-offset sub-streams. The estimate does not depend on the split.
+    """
     cdf = np.cumsum(p)
     cdf /= cdf[-1]
+    state = rng.bit_generator.state
+    counter = sum(int(word) << 64 * i for i, word in enumerate(state["state"]["counter"]))
+    first = 4 * counter - 4 + state["buffer_pos"]  # index of rng's next 64-bit draw
+    key = state["state"]["key"]
+    workers = max(1, min(_usable_cpus(), min(MC_CHUNK, trials) // MC_MIN_SHARE))
+    counts: list = [0] * workers
+
+    def run(w: int) -> None:
+        try:
+            counts[w] = _count_share(cdf, key, first, trials, w, workers)
+        except Exception as exc:  # re-raised on the calling thread
+            counts[w] = exc
+
+    threads = [threading.Thread(target=run, args=(w,)) for w in range(1, workers)]
+    for t in threads:
+        t.start()
+    run(0)
+    for t in threads:
+        t.join()
+    for c in counts:
+        if isinstance(c, Exception):
+            raise c
+    return sum(counts) / trials
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _count_share(cdf: np.ndarray, key, first: int, trials: int, w: int, workers: int) -> int:
+    """Distinct pairs in share w of every chunk, split evenly into `workers` shares."""
+    size = -(-min(MC_CHUNK, trials) // workers)
+    u = np.empty((2, size))
+    draws = np.empty((2, size), dtype=np.uint8)
+    mask = np.empty((2, size), dtype=bool)
     distinct = 0
-    for start in range(0, trials, MC_CHUNK):
-        u = rng.random((2, min(MC_CHUNK, trials - start)))
-        if p.size > MC_COUNTED_OUTCOMES:
-            draws = cdf.searchsorted(u, side="right")
-        else:
-            draws = np.zeros(u.shape, dtype=np.uint8)
-            for c in cdf[:-1]:  # outcome = number of boundaries <= u, as cdf[-1] == 1 > u
-                draws += u >= c
-        distinct += int(np.count_nonzero(draws[0] != draws[1]))
-    return distinct / trials
+    for s in range(0, trials, MC_CHUNK):
+        n = min(MC_CHUNK, trials - s)
+        a, b = n * w // workers, n * (w + 1) // workers
+        for row, draw in enumerate((first + 2 * s + a, first + 2 * s + n + a)):
+            bits = np.random.Philox(counter=draw // 4, key=key)
+            bits.random_raw(draw % 4)
+            np.random.Generator(bits).random(out=u[row, : b - a])
+        distinct += _count_distinct(cdf, u[:, : b - a], draws[:, : b - a], mask[:, : b - a])
+    return distinct
+
+
+def _count_distinct(cdf: np.ndarray, u: np.ndarray, draws: np.ndarray, mask: np.ndarray) -> int:
+    """Columns of the (2, m) uniforms u whose two outcomes differ; draws and mask are scratch."""
+    if cdf.size > MC_COUNTED_OUTCOMES:
+        outcomes = cdf.searchsorted(u, side="right")
+        return int(np.count_nonzero(outcomes[0] != outcomes[1]))
+    draws.fill(0)
+    for c in cdf[:-1]:  # outcome = number of boundaries <= u, as cdf[-1] == 1 > u
+        np.greater_equal(u, c, out=mask)
+        np.add(draws, mask.view(np.uint8), out=draws)
+    np.not_equal(draws[0], draws[1], out=mask[0])
+    return int(np.count_nonzero(mask[0]))
 
 
 def two_draw_distinction_mc(p, trials: int, seed: int) -> float:

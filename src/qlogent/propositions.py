@@ -227,7 +227,7 @@ def _check_8(b: _Block) -> np.ndarray:
     d_hs = la.hs_norm_sq(rho - sigma)
     cross = np.einsum("nij,nji->n", rho, sigma).real
     d_def = 2.0 * (1.0 - cross) - _entropy(rho) - _entropy(sigma)
-    return np.maximum.reduce([-d_hs, np.abs(d_hs - d_def), la.hs_norm_sq(rho - rho)])
+    return np.maximum(-d_hs, np.abs(d_hs - d_def))
 
 
 @_alternating

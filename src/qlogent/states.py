@@ -31,8 +31,9 @@ class ValidationError(ValueError):
 class DensityMatrix:
     """Hermitian, PSD, unit-trace matrix, optionally tagged with factor dims.
 
-    Validation clamps eigenvalues in [-1e-9, 0) and renormalizes trace drift
-    up to 1e-9; anything worse is rejected, not repaired.
+    Validation symmetrizes a Hermiticity defect and renormalizes trace drift,
+    each up to 1e-9, and accepts eigenvalues down to -1e-9 as they are, without
+    clamping them; anything worse is rejected, not repaired.
     """
 
     __slots__ = ("mat", "dims")

@@ -279,6 +279,7 @@ class TestUsageErrors:
             ["bogus"],
             ["verify", "--trials", "abc"],
             ["verify", "--dims=2,x"],
+            ["verify", "--dims", "a,b"],
             ["sample", "--in", "rho.json"],
             # Python 3.11's argparse passed these on as [], unconverted
             ["verify", "--trials=--"],
@@ -295,6 +296,13 @@ class TestUsageErrors:
         assert captured.out == ""
         assert len(captured.err.splitlines()) == 1
         assert captured.err.startswith("qlogent")
+
+    def test_dims_error_names_the_expected_format(self, capsys):
+        with pytest.raises(SystemExit):
+            cli.main(["verify", "--dims", "a,b"])
+        err = capsys.readouterr().err
+        assert "comma-separated integers" in err
+        assert "_int_list" not in err
 
     def test_file_flag_given_dashes_is_a_missing_file(self, capsys):
         code, out, err = run(capsys, ["entropy", "--in=--"])
@@ -445,13 +453,16 @@ for argv in json.load(sys.stdin):
 """
 
 
-def _cli_subprocess(argvs, threads: str):
+_PIN_TO_ONE_CPU = "import os\nos.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+
+
+def _cli_subprocess(argvs, threads: str, one_cpu: bool = False):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.path.dirname(os.path.dirname(qlogent.__file__))
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         env[var] = threads
     return subprocess.run(
-        [sys.executable, "-c", _BATCH_SCRIPT],
+        [sys.executable, "-c", (_PIN_TO_ONE_CPU if one_cpu else "") + _BATCH_SCRIPT],
         input=json.dumps(argvs).encode(),
         capture_output=True,
         env=env,
@@ -492,3 +503,22 @@ class TestBlasThreadDeterminism:
         assert proc.stdout == b"exit 4\n"
         assert len(proc.stderr.splitlines()) == 1, proc.stderr
         assert proc.stderr.startswith(b"dimension mismatch:")
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
+class TestCpuCountDeterminism:
+    """sample splits each Monte Carlo chunk over the usable CPUs; its report does not change."""
+
+    def test_sample_identical_on_one_cpu_and_on_all(self, tmp_path):
+        argvs = []
+        for d, groups in ((8, None), (8, [3, 5]), (64, None)):
+            rho, pvm = tmp_path / f"rho_{d}.json", tmp_path / f"pvm_{d}_{groups}.json"
+            reports.write_matrix_file(str(rho), "density", sample_density(d, d).mat)
+            write_pvm(pvm, sample_pvm(d, d, groups))
+            for trials in (2**17 + 1, 2**20 + 3):
+                argvs.append(["sample", "--in", str(rho), "--pvm", str(pvm), "--trials", str(trials)])
+        runs = [_cli_subprocess(argvs, "1", one_cpu) for one_cpu in (True, False)]
+        for proc in runs:
+            assert proc.returncode == 0, proc.stderr
+            assert proc.stdout.count(b"exit 0\n") == len(argvs), proc.stderr
+        assert runs[0].stdout == runs[1].stdout

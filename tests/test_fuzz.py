@@ -9,6 +9,7 @@ same rules. Examples are derandomised so the suite runs the same inputs every
 time.
 """
 
+import argparse
 import contextlib
 import copy
 import io
@@ -187,11 +188,11 @@ def joined(items):
 
 
 def rejected_by(convert):
-    """Flag text that the type conversion raises ValueError on."""
+    """Flag text that the type conversion rejects, as argparse sees it."""
     def fails(text):
         try:
             convert(text)
-        except ValueError:
+        except (ValueError, argparse.ArgumentTypeError):
             return True
         return False
 

@@ -1,4 +1,6 @@
+import functools
 import itertools
+import threading
 
 import numpy as np
 import pytest
@@ -209,22 +211,16 @@ def choice_reference(p, trials, rng):
     return distinct / trials
 
 
+@functools.lru_cache(maxsize=None)
+def cached_choice_reference(k, trials):
+    return choice_reference(probabilities(k), trials, rng_for(7, k))
+
+
 def probabilities(k, zeros=()):
     """Normalised positive weights of k outcomes, with the given outcomes set to 0."""
     w = np.random.default_rng(k).random(k) + 0.01
     w[list(zeros)] = 0.0
     return w / np.sum(w)
-
-
-class FixedUniforms:
-    """Stands in for a generator whose random() returns the given (2, n) uniforms."""
-
-    def __init__(self, u):
-        self.u = np.asarray(u, dtype=float)
-
-    def random(self, shape):
-        assert shape == self.u.shape
-        return self.u
 
 
 class TestDrawKernel:
@@ -258,6 +254,51 @@ class TestDrawKernel:
         ]))
         u = u[(u >= 0.0) & (u < 1.0)]
         outcome = cdf.searchsorted(u, side="right")
+        draws, mask = np.empty((2, 1), dtype=np.uint8), np.empty((2, 1), dtype=bool)
         for a, b, oa, ob in zip(u, u[1:], outcome, outcome[1:]):
-            got = pt.distinct_pair_fraction(p, 1, FixedUniforms([[a], [b]]))
+            got = pt._count_distinct(cdf, np.array([[a], [b]]), draws, mask)
             assert got == float(oa != ob), (a, b)
+
+
+class TestWorkerSplit:
+    """Each chunk split over any number of CPUs gives rng.choice's estimate, bit for bit."""
+
+    @pytest.mark.parametrize("trials", [1, 3, pt.MC_CHUNK + 3, 2 * pt.MC_CHUNK + 5])
+    @pytest.mark.parametrize("k", [8, 65])
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 5])
+    def test_matches_choice_for_any_cpu_count(self, monkeypatch, cpus, k, trials):
+        # shares start at n * w // cpus, so sub-stream offsets hit every residue mod 4
+        started = []
+
+        class CountingThread(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
+
+        monkeypatch.setattr(pt, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(pt.threading, "Thread", CountingThread)
+        got = pt.distinct_pair_fraction(probabilities(k), trials, rng_for(7, k))
+        assert got == cached_choice_reference(k, trials)
+        assert len(started) == (cpus - 1 if trials >= pt.MC_CHUNK else 0)
+
+    def test_continues_from_the_generators_position(self, monkeypatch):
+        monkeypatch.setattr(pt, "_usable_cpus", lambda: 3)
+        p, trials = probabilities(8), pt.MC_CHUNK + 3
+        for skipped in range(5):
+            rng, ref = rng_for(2, skipped), rng_for(2, skipped)
+            rng.random(skipped)
+            ref.random(skipped)
+            assert pt.distinct_pair_fraction(p, trials, rng) == choice_reference(p, trials, ref)
+
+    def test_worker_error_reaches_the_caller(self, monkeypatch):
+        monkeypatch.setattr(pt, "_usable_cpus", lambda: 2)
+        real = pt._count_distinct
+
+        def failing(cdf, u, draws, mask):
+            if threading.current_thread() is not threading.main_thread():
+                raise MemoryError("worker")
+            return real(cdf, u, draws, mask)
+
+        monkeypatch.setattr(pt, "_count_distinct", failing)
+        with pytest.raises(MemoryError, match="worker"):
+            pt.distinct_pair_fraction(probabilities(8), pt.MC_CHUNK, rng_for(1))
