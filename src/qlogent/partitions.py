@@ -13,7 +13,7 @@ from .sampling import rng_for
 PROB_SUM_TOL = 1e-9
 MC_CHUNK = 1 << 20  # draw pairs per Monte Carlo chunk; bounds its memory
 MC_COUNTED_OUTCOMES = 64  # up to this many outcomes, bins are counted, not binary-searched
-MC_MIN_SHARE = 1 << 16  # fewest pairs of the first chunk per worker thread
+MC_MIN_SHARE = 1 << 16  # fewest first-chunk pairs per worker thread: the measured break-even
 
 
 @dataclass(frozen=True)
@@ -119,24 +119,27 @@ def block_mass_entropy(p: SetPartition, probs) -> float:
 def distinct_pair_fraction(p: np.ndarray, trials: int, rng: np.random.Generator) -> float:
     """Fraction of i.i.d. pairs from a finite, normalised p that differ; draws match rng.choice.
 
-    rng is a Philox generator; its key and position are read, and it is not
-    advanced. Pair j of the n-pair chunk that starts at pair s takes stream
-    draws 2s + j and 2s + n + j, as rng.random((2, n)) lays them out, so each
-    chunk splits into even shares, one per usable CPU, drawn from
-    counter-offset sub-streams. The estimate does not depend on the split.
+    rng must be a fresh Philox generator, as rng_for returns; only its key is
+    read, and it is not advanced. Pair j of the n-pair chunk that starts at
+    pair s takes stream draws 2s + j and 2s + n + j, as rng.random((2, n))
+    lays them out, so each chunk splits into even shares drawn from
+    counter-offset sub-streams: one per usable CPU, but none with fewer than
+    MC_MIN_SHARE pairs of the first chunk. The estimate does not depend on
+    the split.
     """
+    state = rng.bit_generator.state
+    fresh = state["bit_generator"] == "Philox" and state["buffer_pos"] == 4
+    if not fresh or any(state["state"]["counter"]):
+        raise ValueError("rng must be a fresh Philox generator")
+    key = state["state"]["key"]
     cdf = np.cumsum(p)
     cdf /= cdf[-1]
-    state = rng.bit_generator.state
-    counter = sum(int(word) << 64 * i for i, word in enumerate(state["state"]["counter"]))
-    first = 4 * counter - 4 + state["buffer_pos"]  # index of rng's next 64-bit draw
-    key = state["state"]["key"]
     workers = max(1, min(_usable_cpus(), min(MC_CHUNK, trials) // MC_MIN_SHARE))
     counts: list = [0] * workers
 
     def run(w: int) -> None:
         try:
-            counts[w] = _count_share(cdf, key, first, trials, w, workers)
+            counts[w] = _count_share(cdf, key, trials, w, workers)
         except Exception as exc:  # re-raised on the calling thread
             counts[w] = exc
 
@@ -158,7 +161,7 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _count_share(cdf: np.ndarray, key, first: int, trials: int, w: int, workers: int) -> int:
+def _count_share(cdf: np.ndarray, key, trials: int, w: int, workers: int) -> int:
     """Distinct pairs in share w of every chunk, split evenly into `workers` shares."""
     size = -(-min(MC_CHUNK, trials) // workers)
     u = np.empty((2, size))
@@ -168,7 +171,7 @@ def _count_share(cdf: np.ndarray, key, first: int, trials: int, w: int, workers:
     for s in range(0, trials, MC_CHUNK):
         n = min(MC_CHUNK, trials - s)
         a, b = n * w // workers, n * (w + 1) // workers
-        for row, draw in enumerate((first + 2 * s + a, first + 2 * s + n + a)):
+        for row, draw in enumerate((2 * s + a, 2 * s + n + a)):
             bits = np.random.Philox(counter=draw // 4, key=key)
             bits.random_raw(draw % 4)
             np.random.Generator(bits).random(out=u[row, : b - a])

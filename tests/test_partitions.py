@@ -260,6 +260,19 @@ class TestDrawKernel:
             assert got == float(oa != ob), (a, b)
 
 
+def count_started_threads(monkeypatch):
+    """List that collects every thread partitions starts."""
+    started = []
+
+    class CountingThread(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(pt.threading, "Thread", CountingThread)
+    return started
+
+
 class TestWorkerSplit:
     """Each chunk split over any number of CPUs gives rng.choice's estimate, bit for bit."""
 
@@ -268,27 +281,26 @@ class TestWorkerSplit:
     @pytest.mark.parametrize("cpus", [1, 2, 3, 5])
     def test_matches_choice_for_any_cpu_count(self, monkeypatch, cpus, k, trials):
         # shares start at n * w // cpus, so sub-stream offsets hit every residue mod 4
-        started = []
-
-        class CountingThread(threading.Thread):
-            def start(self):
-                started.append(self)
-                super().start()
-
+        started = count_started_threads(monkeypatch)
         monkeypatch.setattr(pt, "_usable_cpus", lambda: cpus)
-        monkeypatch.setattr(pt.threading, "Thread", CountingThread)
         got = pt.distinct_pair_fraction(probabilities(k), trials, rng_for(7, k))
         assert got == cached_choice_reference(k, trials)
         assert len(started) == (cpus - 1 if trials >= pt.MC_CHUNK else 0)
 
-    def test_continues_from_the_generators_position(self, monkeypatch):
-        monkeypatch.setattr(pt, "_usable_cpus", lambda: 3)
-        p, trials = probabilities(8), pt.MC_CHUNK + 3
-        for skipped in range(5):
-            rng, ref = rng_for(2, skipped), rng_for(2, skipped)
-            rng.random(skipped)
-            ref.random(skipped)
-            assert pt.distinct_pair_fraction(p, trials, rng) == choice_reference(p, trials, ref)
+    @pytest.mark.parametrize("trials", [2 * pt.MC_MIN_SHARE - 1, 2 * pt.MC_MIN_SHARE])
+    def test_no_thread_below_the_minimum_share(self, monkeypatch, trials):
+        started = count_started_threads(monkeypatch)
+        monkeypatch.setattr(pt, "_usable_cpus", lambda: 2)
+        pt.distinct_pair_fraction(probabilities(8), trials, rng_for(7, 8))
+        assert len(started) == trials // pt.MC_MIN_SHARE - 1
+
+    def test_rejects_a_used_or_non_philox_generator(self):
+        p = probabilities(8)
+        used = rng_for(7, 8)
+        used.random()
+        for rng in (used, np.random.default_rng(7)):
+            with pytest.raises(ValueError, match="fresh Philox"):
+                pt.distinct_pair_fraction(p, 10, rng)
 
     def test_worker_error_reaches_the_caller(self, monkeypatch):
         monkeypatch.setattr(pt, "_usable_cpus", lambda: 2)
