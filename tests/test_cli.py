@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -57,6 +58,29 @@ def _bell():
     v = np.zeros(4)
     v[0] = v[3] = 1 / np.sqrt(2)
     return np.outer(v, v)
+
+
+DATA = Path(__file__).parent / "data"
+
+
+def assert_report_matches(fresh, pinned, path="report"):
+    """Same keys, list lengths and non-float values; floats within 1e-12.
+
+    Not a byte comparison: BLAS kernels differ between CPU models, so
+    rounding residues near 1e-15 may differ from machine to machine.
+    """
+    if isinstance(pinned, float):
+        assert isinstance(fresh, float) and abs(fresh - pinned) <= 1e-12, (path, fresh, pinned)
+    elif isinstance(pinned, dict):
+        assert sorted(fresh) == sorted(pinned), path
+        for key, value in pinned.items():
+            assert_report_matches(fresh[key], value, f"{path}.{key}")
+    elif isinstance(pinned, list):
+        assert isinstance(fresh, list) and len(fresh) == len(pinned), path
+        for i, (a, b) in enumerate(zip(fresh, pinned)):
+            assert_report_matches(a, b, f"{path}[{i}]")
+    else:
+        assert fresh == pinned, (path, fresh, pinned)
 
 
 def run(capsys, argv):
@@ -160,6 +184,13 @@ class TestVerifyCommand:
         code, _, err = run(capsys, ["verify", "--prop", "99", "--trials", "5"])
         assert code == 3
         assert "validation" in err
+
+    def test_default_report_numbers_are_pinned(self, capsys):
+        # a checker refactor must not move a worst_violation, a count or the witness
+        pinned = json.loads((DATA / "verify_seed42_trials1000.json").read_text())
+        fresh = run_json(capsys, ["verify", "--trials", "1000", "--seed", "42"])
+        assert_report_matches(fresh, pinned)
+        assert fresh["results"]["ssa"]["witness"] == pinned["results"]["ssa"]["witness"]
 
 
 class TestPostselectCommand:
