@@ -17,7 +17,7 @@ from .states import DensityMatrix, ValidationError
 
 
 class UnitalChannel:
-    """Kraus map that is both trace-preserving and unital."""
+    """Kraus map that is both trace-preserving and unital; kraus_ops has shape (k, d, d)."""
 
     __slots__ = ("kraus_ops",)
 
@@ -33,15 +33,15 @@ class UnitalChannel:
             raise ValidationError("Kraus operators are not trace-preserving")
         if np.max(np.abs(np.sum(k @ la.dagger(k), axis=0) - eye)) > HERMITICITY_TOL:
             raise ValidationError("Kraus operators are not unital")
-        self.kraus_ops = tuple(kraus_ops)
+        self.kraus_ops = k
 
     @property
     def dim(self) -> int:
-        return self.kraus_ops[0].shape[0]
+        return self.kraus_ops.shape[-1]
 
 
 class Povm:
-    """Positive effects summing to identity."""
+    """Positive effects summing to identity, stacked with shape (k, d, d)."""
 
     __slots__ = ("effects",)
 
@@ -55,11 +55,11 @@ class Povm:
         la.clamp_psd_eigvals(hermitian_eigvals(e))
         if np.max(np.abs(np.sum(e, axis=0) - np.eye(e.shape[-1]))) > HERMITICITY_TOL:
             raise ValidationError("effects do not sum to identity")
-        self.effects = tuple(effects)
+        self.effects = e
 
     @property
     def dim(self) -> int:
-        return self.effects[0].shape[0]
+        return self.effects.shape[-1]
 
 
 class InteractionBlocks:
@@ -87,7 +87,7 @@ class InteractionBlocks:
 def apply_channel(ch: UnitalChannel, rho: DensityMatrix) -> DensityMatrix:
     if ch.dim != rho.dim:
         raise DimensionMismatchError(f"channel dim {ch.dim} vs state dim {rho.dim}")
-    return DensityMatrix.trusted(la.apply_kraus(np.stack(ch.kraus_ops), rho.mat), rho.dims)
+    return DensityMatrix.trusted(la.apply_kraus(ch.kraus_ops, rho.mat), rho.dims)
 
 
 def povm_unital_implementation(povm: Povm) -> UnitalChannel:

@@ -16,7 +16,6 @@ import numpy as np
 
 HERMITICITY_TOL = 1e-9
 PSD_TOL = 1e-9
-RECON_TOL = 1e-9
 EQ_TOL = 1e-9
 MAX_EIG_DIM = 64
 

@@ -33,24 +33,18 @@ class DensityMatrix:
 
     Validation symmetrizes a Hermiticity defect and renormalizes trace drift,
     each up to 1e-9, and accepts eigenvalues down to -1e-9 as they are, without
-    clamping them; anything worse is rejected, not repaired.
+    clamping them; anything worse is rejected, not repaired. Only one matrix
+    is validated; a trusted DensityMatrix may hold an (n, d, d) stack, for
+    which reduced, purity, logical_entropy, the logical divergences and the
+    relative logical entropy give one result per state.
     """
 
     __slots__ = ("mat", "dims")
 
-    def __init__(self, mat, dims: tuple[int, ...] | None = None, *, validate: bool = True):
-        mat = la.as_matrix(mat)
-        if dims is not None:
-            dims = tuple(int(d) for d in dims)
-            prod = math.prod(dims)  # exact; np.prod wraps around in int64
-            if prod != mat.shape[0]:
-                raise DimensionMismatchError(
-                    f"factor dims {dims} do not multiply to {mat.shape[0]}"
-                )
-        if validate:
-            mat = self._validated(mat)
-        self.mat = mat
-        self.dims = dims
+    def __init__(self, mat, dims: tuple[int, ...] | None = None):
+        rho = DensityMatrix.trusted(la.as_matrix(mat), dims)
+        self.mat = self._validated(rho.mat)
+        self.dims = rho.dims
 
     @staticmethod
     def _validated(mat: np.ndarray) -> np.ndarray:
@@ -73,15 +67,20 @@ class DensityMatrix:
 
     @classmethod
     def trusted(cls, mat, dims: tuple[int, ...] | None = None) -> "DensityMatrix":
-        """Fast path for matrices PSD/unit-trace by construction (samplers, channels)."""
-        return cls(mat, dims, validate=False)
+        """Fast path for a matrix or stack PSD/unit-trace by construction (samplers, channels)."""
+        rho = cls.__new__(cls)
+        rho.mat = la.as_stack(mat)
+        rho.dims = None if dims is None else tuple(int(d) for d in dims)
+        if rho.dims is not None and math.prod(rho.dims) != rho.dim:  # exact, unlike np.prod
+            raise DimensionMismatchError(f"factor dims {rho.dims} do not multiply to {rho.dim}")
+        return rho
 
     @property
     def dim(self) -> int:
-        return self.mat.shape[0]
+        return self.mat.shape[-1]
 
     def with_dims(self, dims: tuple[int, ...]) -> "DensityMatrix":
-        return DensityMatrix(self.mat, dims, validate=False)
+        return DensityMatrix.trusted(self.mat, dims)
 
     def bipartite_dims(self) -> tuple[int, int]:
         if self.dims is None or len(self.dims) != 2:
@@ -186,7 +185,7 @@ def _check_same_dim(a: DensityMatrix, b: DensityMatrix) -> None:
 
 def purity(rho: DensityMatrix) -> float:
     """tr rho^2."""
-    return float(la.hs_norm_sq(rho.mat))
+    return la.hs_norm_sq(rho.mat)
 
 
 def logical_entropy(rho: DensityMatrix) -> float:
@@ -247,24 +246,21 @@ def basis_decomposition_check(rho: DensityMatrix, pvm: Pvm) -> tuple[float, floa
 def logical_divergence(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """Squared Hilbert-Schmidt distance tr(rho - sigma)^2."""
     _check_same_dim(rho, sigma)
-    return float(la.hs_norm_sq(rho.mat - sigma.mat))
+    return la.hs_norm_sq(rho.mat - sigma.mat)
 
 
 def logical_divergence_definitional(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """The defining combination 2 tr rho(I - sigma) - L(rho) - L(sigma)."""
     _check_same_dim(rho, sigma)
-    cross = float(np.real(np.trace(rho.mat @ sigma.mat)))
+    cross = np.einsum("...ij,...ji->...", rho.mat, sigma.mat).real
     return 2.0 * (1.0 - cross) - logical_entropy(rho) - logical_entropy(sigma)
 
 
-def reference_states(rho_ab: np.ndarray, da: int, db: int) -> np.ndarray:
-    """I/d_A otimes rho_B, the reference of the relative logical entropy, per batch entry."""
-    return tensor_product(np.eye(da, dtype=complex) / da, reduce_state(rho_ab, [da, db], [1]))
-
-
 def _reference_state(rho_ab: DensityMatrix) -> DensityMatrix:
-    dims = rho_ab.bipartite_dims()
-    return DensityMatrix.trusted(reference_states(rho_ab.mat, *dims), dims)
+    """I/d_A otimes rho_B, the reference of the relative logical entropy."""
+    da, db = rho_ab.bipartite_dims()
+    ref = tensor_product(np.eye(da, dtype=complex) / da, rho_ab.reduced("B").mat)
+    return DensityMatrix.trusted(ref, (da, db))
 
 
 def relative_logical_entropy(rho_ab: DensityMatrix) -> float:
@@ -278,9 +274,8 @@ def relative_entropy_report(rho_ab: DensityMatrix) -> dict:
     The -1 factor is what the definitions themselves give; the -1/4 factor is
     also reported so a reader can see which one matches numerically.
     """
-    ref = _reference_state(rho_ab)
-    value = logical_entropy(rho_ab) - logical_entropy(ref)
-    div = logical_divergence(rho_ab, ref)
+    value = relative_logical_entropy(rho_ab)
+    div = logical_divergence(rho_ab, _reference_state(rho_ab))
     return {
         "relative_logical_entropy": value,
         "minus_divergence": -div,

@@ -1,6 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
+from qlogent import cli
 from qlogent import linalg as la
 from qlogent import partitions as pt
 from qlogent import propositions as pr
@@ -158,18 +161,23 @@ class TestStrongSubadditivity:
         rho = DensityMatrix(mat, (2, 2, 2))
         assert pr._ssa_gap(rho) == pytest.approx(res.witness["violation"], abs=1e-9)
 
-    def test_structured_candidates_evaluate(self):
-        # GHZ and W candidates are well-formed states in the pool
-        for trial in (1, 2):
-            rho = pr._tripartite_candidates(0, trial)
-            assert abs(np.trace(rho.mat) - 1.0) <= 1e-12
-            gap = pr._ssa_gap(rho)
-            assert np.isfinite(gap)
-
     def test_bell_tensor_mixed_witness_gap(self):
-        # the first structured candidate violates by exactly 1/4
-        rho = pr._tripartite_candidates(0, 0)
+        # the witness violates by exactly 1/4
+        rho = pr._ssa_witness()
         assert pr._ssa_gap(rho) == pytest.approx(0.25, abs=1e-12)
+
+    def test_failed_reverification_is_not_a_counterexample(self, monkeypatch, capsys):
+        # the first evaluation violates, the recomputation does not
+        gaps = iter([0.25, 0.0] * 2)
+        monkeypatch.setattr(pr, "_ssa_gap", lambda rho: next(gaps))
+        res = pr.strong_subadditivity_search(small_cfg())
+        assert res.status == pr.STATUS_NOT_FOUND
+        assert res.witness is None
+        assert res.failure_count == 1
+        assert cli.main(["verify", "--prop", "ssa", "--trials", "5"]) == cli.EXIT_VERIFY
+        reported = json.loads(capsys.readouterr().out)["results"]["ssa"]
+        assert reported["status"] == pr.STATUS_NOT_FOUND
+        assert "witness" not in reported
 
 
 class TestTwoDrawQuantumMc:

@@ -4,7 +4,7 @@ import pytest
 from qlogent import linalg as la
 from qlogent import states as qs
 from qlogent.partitions import distribution_logical_entropy
-from qlogent.sampling import sample_density, sample_pvm, sample_unitary
+from qlogent.sampling import sample_densities, sample_density, sample_pvm, sample_unitary
 
 PLUS = np.array([1, 1]) / np.sqrt(2)
 KET0 = np.array([1.0, 0.0])
@@ -43,6 +43,29 @@ class TestDensityMatrix:
         # 1e308 is finite but overflows when the matrix is symmetrised
         with pytest.raises(qs.ValidationError, match="non-finite"):
             qs.DensityMatrix(np.diag([entry, 0.5]))
+
+
+class TestStacks:
+    @pytest.mark.parametrize("dims", [(2, 3), (3, 2), (4, 4)])
+    def test_stacked_quantities_equal_per_state_calls(self, dims):
+        d = dims[0] * dims[1]
+        rho = qs.DensityMatrix.trusted(sample_densities(1, 5, d), dims)
+        sigma = qs.DensityMatrix.trusted(sample_densities(2, 5, d), dims)
+        rows = [
+            (qs.DensityMatrix.trusted(r, dims), qs.DensityMatrix.trusted(s, dims))
+            for r, s in zip(rho.mat, sigma.mat)
+        ]
+        assert rho.dim == d
+        for f in (qs.purity, qs.logical_entropy, qs.relative_logical_entropy):
+            assert np.array_equal(f(rho), [f(r) for r, _ in rows])
+        for f in (qs.logical_divergence, qs.logical_divergence_definitional):
+            assert np.array_equal(f(rho, sigma), [f(r, s) for r, s in rows])
+        for keep in "AB":
+            assert np.array_equal(rho.reduced(keep).mat, [r.reduced(keep).mat for r, _ in rows])
+
+    def test_validating_constructor_rejects_a_stack(self):
+        with pytest.raises(la.DimensionMismatchError):
+            qs.DensityMatrix(sample_densities(1, 3, 2))
 
 
 class TestPvm:
