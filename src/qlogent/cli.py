@@ -106,7 +106,7 @@ def cmd_relative(args) -> dict:
 
 
 def cmd_verify(args) -> tuple[dict, int]:
-    props = list(PROPOSITION_IDS) + ["ssa"] if args.prop == ["all"] else args.prop
+    props = list(PROPOSITION_IDS) + ["ssa"] if list(args.prop) == ["all"] else args.prop
     cfg = SamplerConfig(args.seed, args.trials, tuple(args.dims), args.tol)
     results = {}
     ok = True
@@ -232,10 +232,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--prop",
         type=lambda s: s.split(","),
-        default=["all"],
+        default=("all",),
         help="comma-separated proposition ids (1a..12, ssa) or 'all'",
     )
-    p.add_argument("--dims", type=_int_list, default=[2, 3, 4])
+    p.add_argument("--dims", type=_int_list, default=(2, 3, 4))
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--tol", type=float, default=1e-9)
@@ -257,8 +257,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+PARSER = build_parser()  # shared by every main call, so each default above is immutable
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = PARSER.parse_args(argv)
     try:
         out = args.func(args)
         code = EXIT_OK

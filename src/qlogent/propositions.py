@@ -48,6 +48,8 @@ class SamplerConfig:
             raise ValueError("every dim must be >= 2")
         if not 0.0 <= self.tolerance < float("inf"):
             raise ValueError(f"tolerance must be finite and >= 0, got {self.tolerance}")
+        if not 0 <= self.seed < sp._PHILOX_KEY_LIMIT:
+            raise ValueError(f"seed {self.seed} is outside the Philox key range [0, 2^64)")
 
 
 @dataclass

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -421,15 +422,17 @@ class TestMalformedInput:
         assert code == 3
         assert "tolerance" in err
 
-    @pytest.mark.parametrize("seed", [-1, 2**64])
+    @pytest.mark.parametrize("seed", [-5, -1, 2**64])
     def test_seed_outside_key_range(self, files, capsys, seed):
         verify = ["verify", "--prop", "1a", "--trials", "2", "--seed", str(seed)]
+        # the fixed SSA witness draws nothing, so only the config can reject its seed
+        ssa = ["verify", "--prop", "ssa", "--seed", str(seed)]
         sample = ["sample", "--in", files["mixed.json"], "--pvm", files["comp_pvm.json"],
                   "--trials", "10", "--seed", str(seed)]
-        for argv in (verify, sample):
+        for argv in (verify, ssa, sample):
             code, out, err = run(capsys, argv)
             assert (code, out) == (3, "")
-            assert "seed" in err
+            assert len(err.splitlines()) == 1 and "seed" in err
 
 
 class TestMatrixFileRoundTrip:
@@ -499,6 +502,52 @@ def _cli_subprocess(argvs, threads: str, one_cpu: bool = False):
         env=env,
         timeout=600,
     )
+
+
+class TestParserReuse:
+    """main parses with one parser built at import; no call leaks into the next."""
+
+    VERIFY = ["verify", "--prop", "1a", "--trials", "2"]
+
+    def test_main_does_not_rebuild_the_parser(self, capsys, monkeypatch):
+        def rebuild():
+            raise AssertionError("main rebuilt the parser")
+
+        monkeypatch.setattr(cli, "build_parser", rebuild)
+        code, _, err = run(capsys, self.VERIFY)
+        assert code == 0, err
+
+    def test_defaults_are_immutable(self):
+        parsers = [cli.PARSER]
+        for parser in parsers:  # grows as subparsers are found
+            defaults = [action.default for action in parser._actions]
+            for value in defaults + list(parser._defaults.values()):
+                assert not isinstance(value, (list, dict, set)), (parser.prog, value)
+            for action in parser._actions:
+                if isinstance(action, argparse._SubParsersAction):
+                    parsers.extend(action.choices.values())
+        assert len(parsers) == 7
+
+    def test_reuse_is_isolated(self, files):
+        argvs = [
+            ["verify", "--prop", "1a", "--dims", "3", "--trials", "2"],
+            ["verify", "--prop", "1a", "--trials", "2"],
+            ["entropy", "--in", files["mixed.json"]],
+        ]
+        batch = _cli_subprocess(argvs, "1")
+        fresh = [_cli_subprocess([argv], "1") for argv in argvs]
+        assert batch.returncode == 0, batch.stderr
+        assert batch.stdout.count(b"exit 0\n") == len(argvs), batch.stderr
+        assert batch.stdout == b"".join(proc.stdout for proc in fresh)
+
+    @pytest.mark.parametrize("exiting, status", [(["verify", "--dims", "x"], 2), (["--help"], 0)])
+    def test_same_report_after_an_exit(self, capsys, exiting, status):
+        before = run(capsys, self.VERIFY)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(exiting)
+        assert exc.value.code == status
+        capsys.readouterr()
+        assert run(capsys, self.VERIFY) == before
 
 
 class TestBlasThreadDeterminism:

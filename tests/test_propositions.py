@@ -40,6 +40,15 @@ class TestSamplerConfig:
         with pytest.raises(ValueError, match="tolerance"):
             pr.SamplerConfig(seed=0, trials=1, tolerance=tol)
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_rejects_seed_outside_key_range(self, seed):
+        with pytest.raises(ValueError, match="Philox key range"):
+            pr.SamplerConfig(seed=seed, trials=1)
+
+    def test_accepts_the_ends_of_the_key_range(self):
+        for seed in (0, 2**64 - 1):
+            assert pr.SamplerConfig(seed=seed, trials=1).seed == seed
+
 
 class TestVerifyProposition:
     @pytest.mark.parametrize("prop_id", pr.PROPOSITION_IDS)
