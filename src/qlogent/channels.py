@@ -114,43 +114,23 @@ def purify(rho: DensityMatrix) -> np.ndarray:
 
 
 def schmidt_decompose(psi: np.ndarray, dim_a: int, dim_b: int):
-    """Schmidt form psi = sum_k s_k |a_k>|b_k>, s_k >= 0 non-increasing.
+    """Schmidt form psi = sum_k s_k |a_k>|b_k>, s_k >= 0 non-increasing, from one SVD.
 
-    Returns (coefficients, basis_a, basis_b) with basis columns holding the
-    Schmidt vectors of each factor.
+    Returns (coefficients, basis_a, basis_b) with r = min(dim_a, dim_b) columns; a_k
+    takes the eigenvector phase convention and b_k the conjugate factor.
     """
     psi = np.asarray(psi, dtype=complex).ravel()
     if psi.size != dim_a * dim_b:
         raise DimensionMismatchError(f"vector size {psi.size} != {dim_a}*{dim_b}")
     if abs(np.linalg.norm(psi) - 1.0) > 1e-9:
         raise ValidationError("Schmidt decomposition requires a unit vector")
-    c = psi.reshape(dim_a, dim_b)
-    rho_a = c @ c.conj().T
-    values, vec_a = hermitian_eig((rho_a + rho_a.conj().T) / 2)
-    values = la.clamp_psd_eigvals(values)
-    coeffs = np.sqrt(values)
-    rank = min(dim_a, dim_b)
-    basis_a = vec_a[:, :rank]
-    basis_b = np.zeros((dim_b, rank), dtype=complex)
-    for k in range(rank):
-        if coeffs[k] > 1e-12:
-            basis_b[:, k] = (c.T @ basis_a[:, k].conj()) / coeffs[k]
-        else:
-            basis_b[:, k] = _fill_orthonormal(basis_b[:, :k])
-    return coeffs[:rank], basis_a, basis_b
-
-
-def _fill_orthonormal(existing: np.ndarray) -> np.ndarray:
-    """Deterministic unit vector orthogonal to the given columns."""
-    dim = existing.shape[0]
-    for k in range(dim):
-        v = np.eye(dim, dtype=complex)[k]
-        if existing.shape[1]:
-            v = v - existing @ (existing.conj().T @ v)
-        n = np.linalg.norm(v)
-        if n > 1e-6:
-            return v / n
-    raise ValidationError("could not extend to an orthonormal set")
+    if dim_a > la.MAX_EIG_DIM:
+        raise DimensionMismatchError(
+            f"dimension {dim_a} exceeds the eigensolver limit {la.MAX_EIG_DIM}"
+        )
+    u, coeffs, vh = np.linalg.svd(psi.reshape(dim_a, dim_b), full_matrices=False)
+    phases = la.pivot_phases(u)
+    return coeffs, u * phases, vh.T * phases.conj()
 
 
 def interaction_blocks(rho_sr: DensityMatrix, u: np.ndarray) -> InteractionBlocks:

@@ -106,7 +106,11 @@ def cmd_relative(args) -> dict:
 
 
 def cmd_verify(args) -> tuple[dict, int]:
-    props = list(PROPOSITION_IDS) + ["ssa"] if list(args.prop) == ["all"] else args.prop
+    known = list(PROPOSITION_IDS) + ["ssa"]
+    props = known if list(args.prop) == ["all"] else list(args.prop)
+    for i, pid in enumerate(props):
+        if pid not in known or pid in props[:i]:
+            raise ValueError(f"{'repeated' if pid in known else 'unknown'} proposition id {pid!r}")
     cfg = SamplerConfig(args.seed, args.trials, tuple(args.dims), args.tol)
     results = {}
     ok = True

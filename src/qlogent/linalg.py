@@ -105,16 +105,10 @@ def reduce_state(m: np.ndarray, dims: list[int], keep: list[int]) -> np.ndarray:
     return t.reshape(*m.shape[:-2], kept, kept)
 
 
-def _fix_phases(vectors: np.ndarray) -> np.ndarray:
-    """Make the largest-magnitude component of each column real and positive."""
-    out = vectors.copy()
-    for j in range(out.shape[1]):
-        col = out[:, j]
-        k = int(np.argmax(np.abs(col)))
-        pivot = col[k]
-        if abs(pivot) > 0:
-            out[:, j] = col * (pivot.conjugate() / abs(pivot))
-    return out
+def pivot_phases(vectors: np.ndarray) -> np.ndarray:
+    """Per column, the unit factor making its largest-magnitude entry real positive; 1 if zero."""
+    pivots = vectors[np.argmax(np.abs(vectors), axis=0), np.arange(vectors.shape[1])]
+    return np.array([p.conjugate() / abs(p) if abs(p) > 0 else 1 for p in pivots], dtype=complex)
 
 
 def _eig_input(m: np.ndarray) -> np.ndarray:
@@ -135,7 +129,8 @@ def hermitian_eig(m: np.ndarray) -> HermitianEigenSystem:
     """
     values, vectors = np.linalg.eigh(_eig_input(as_matrix(m)))
     order = np.argsort(-values, kind="stable")
-    return HermitianEigenSystem(values[order], _fix_phases(vectors[:, order]))
+    vectors = vectors[:, order]
+    return HermitianEigenSystem(values[order], vectors * pivot_phases(vectors))
 
 
 def hermitian_eigvals(m: np.ndarray) -> np.ndarray:

@@ -46,6 +46,8 @@ class SamplerConfig:
             raise ValueError("dims must name at least one dimension")
         if any(d < 2 for d in self.dims):
             raise ValueError("every dim must be >= 2")
+        if len(set(self.dims)) != len(self.dims):
+            raise ValueError(f"dims {list(self.dims)} name a dimension more than once")
         if not 0.0 <= self.tolerance < float("inf"):
             raise ValueError(f"tolerance must be finite and >= 0, got {self.tolerance}")
         if not 0 <= self.seed < sp._PHILOX_KEY_LIMIT:

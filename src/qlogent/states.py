@@ -71,8 +71,11 @@ class DensityMatrix:
         rho = cls.__new__(cls)
         rho.mat = la.as_stack(mat)
         rho.dims = None if dims is None else tuple(int(d) for d in dims)
-        if rho.dims is not None and math.prod(rho.dims) != rho.dim:  # exact, unlike np.prod
-            raise DimensionMismatchError(f"factor dims {rho.dims} do not multiply to {rho.dim}")
+        # math.prod is exact, unlike np.prod; negative dims may still multiply to dim
+        if rho.dims is not None and (min(rho.dims, default=1) < 1 or math.prod(rho.dims) != rho.dim):
+            raise DimensionMismatchError(
+                f"factor dims {rho.dims} are not positive or do not multiply to {rho.dim}"
+            )
         return rho
 
     @property

@@ -168,6 +168,37 @@ class TestSchmidt:
         with pytest.raises(qs.ValidationError):
             ch.schmidt_decompose(np.array([1.0, 1.0, 0.0, 0.0]), 2, 2)
 
+    @pytest.mark.parametrize("da, db", [(2, 3), (3, 2), (1, 4), (4, 1), (8, 8)])
+    @pytest.mark.parametrize("kind", ["random", "product", "maximally_entangled"])
+    def test_svd_form(self, da, db, kind):
+        r = min(da, db)
+        local = np.kron(sample_unitary(1, da), sample_unitary(2, db))
+        if kind == "random":
+            psi = sample_state_vector(da * db + 7, da * db)
+            expected = None
+        elif kind == "product":  # r - 1 zero coefficients
+            psi = local[:, 0]
+            expected = np.eye(r)[0]
+        else:  # r equal coefficients, a degenerate spectrum
+            psi = local @ (np.eye(da, db).ravel() / np.sqrt(r))
+            expected = np.full(r, 1 / np.sqrt(r))
+        coeffs, basis_a, basis_b = ch.schmidt_decompose(psi, da, db)
+        assert (coeffs.shape, basis_a.shape, basis_b.shape) == ((r,), (da, r), (db, r))
+        assert np.all(np.diff(coeffs) <= 0)
+        if expected is not None:
+            assert np.max(np.abs(coeffs - expected)) <= 1e-12
+        for basis in (basis_a, basis_b):
+            assert np.max(np.abs(basis.conj().T @ basis - np.eye(r))) <= 1e-12
+        rebuilt = np.einsum("k,ik,jk->ij", coeffs, basis_a, basis_b).ravel()
+        assert np.max(np.abs(rebuilt - psi)) <= 1e-12  # no global phase left to fix
+        pivots = basis_a[np.argmax(np.abs(basis_a), axis=0), np.arange(r)]
+        assert np.all(pivots.real > 0) and np.all(np.abs(pivots.imag) <= 1e-12)
+
+    def test_first_factor_above_the_eigensolver_limit(self):
+        psi = np.eye(la.MAX_EIG_DIM + 1)[0]
+        with pytest.raises(la.DimensionMismatchError, match="limit"):
+            ch.schmidt_decompose(psi, la.MAX_EIG_DIM + 1, 1)
+
 
 class TestInteractionBlocks:
     def test_product_with_basis_state(self):

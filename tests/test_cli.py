@@ -417,6 +417,37 @@ class TestMalformedInput:
         assert len(err.splitlines()) == 1
         assert "dims" in err
 
+    @pytest.mark.parametrize(
+        "flags, phrase",
+        [
+            (["--prop", "1a,1a"], "repeated proposition id '1a'"),
+            (["--prop", "ssa,2,ssa"], "repeated proposition id 'ssa'"),
+            (["--prop", "1a,zz"], "unknown proposition id 'zz'"),
+            (["--prop", "all,1a"], "unknown proposition id 'all'"),
+            (["--prop", "1a", "--dims", "2,2"], "more than once"),
+            (["--dims", "3,2,3"], "more than once"),
+        ],
+    )
+    def test_verify_ids_and_dims_are_checked_before_any_run(
+        self, capsys, monkeypatch, flags, phrase
+    ):
+        # a repeated id or dim would count the same seeded trials twice
+        def never(*_):
+            raise AssertionError("a proposition ran")
+
+        monkeypatch.setattr(cli, "verify_proposition", never)
+        code, out, err = run(capsys, ["verify", "--trials", "3", *flags])
+        assert (code, out) == (3, "")
+        assert len(err.splitlines()) == 1 and phrase in err, err
+
+    @pytest.mark.parametrize("dims", ["-2,-2", "-1,-4", "-1,2,-2"])
+    def test_relative_dims_must_be_positive(self, capsys, tmp_path, dims):
+        path = tmp_path / "rho4.json"
+        reports.write_matrix_file(str(path), "density", np.eye(4) / 4)
+        code, out, err = run(capsys, ["relative", "--in", str(path), f"--dims={dims}"])
+        assert (code, out) == (4, "")
+        assert len(err.splitlines()) == 1 and "not positive" in err, err
+
     def test_non_finite_tolerance(self, capsys):
         code, _, err = run(capsys, ["verify", "--prop", "1a", "--trials", "2", "--tol", "nan"])
         assert code == 3

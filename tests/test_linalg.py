@@ -134,6 +134,18 @@ class TestBatchedKernels:
             la.hermitian_eigvals(np.zeros((2, la.MAX_EIG_DIM + 1, la.MAX_EIG_DIM + 1)))
 
 
+def fix_phases_reference(vectors):
+    """The earlier per-column phase loop, kept as the reference for hermitian_eig."""
+    out = vectors.copy()
+    for j in range(out.shape[1]):
+        col = out[:, j]
+        k = int(np.argmax(np.abs(col)))
+        pivot = col[k]
+        if abs(pivot) > 0:
+            out[:, j] = col * (pivot.conjugate() / abs(pivot))
+    return out
+
+
 class TestHermitianEig:
     def test_diagonal_input(self):
         vals, _ = la.hermitian_eig(np.diag([0.25, 0.75]).astype(complex))
@@ -182,6 +194,28 @@ class TestHermitianEig:
     def test_rejects_non_hermitian(self):
         with pytest.raises(la.NotHermitianError):
             la.hermitian_eig(np.array([[0, 1], [0, 0]], dtype=complex))
+
+    @pytest.mark.parametrize("kind", ["full_rank", "rank_one", "diagonal"])
+    def test_bit_identical_to_the_reference_phase_loop(self, kind):
+        rng = np.random.default_rng(["full_rank", "rank_one", "diagonal"].index(kind))
+        for dim in range(1, la.MAX_EIG_DIM + 1):
+            for _ in range(3):
+                if kind == "full_rank":
+                    m = random_hermitian(rng, dim)
+                elif kind == "rank_one":
+                    v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+                    m = np.outer(v, v.conj()) / np.vdot(v, v).real
+                else:  # small integers, so eigenvalues repeat
+                    m = np.diag(rng.integers(-2, 3, size=dim)).astype(complex)
+                values, vectors = np.linalg.eigh(m)
+                order = np.argsort(-values, kind="stable")
+                got = la.hermitian_eig(m)
+                assert np.array_equal(got.values, values[order]), dim
+                assert np.array_equal(got.vectors, fix_phases_reference(vectors[:, order])), dim
+
+    def test_pivot_phase_of_a_zero_column_is_one(self):
+        vectors = np.array([[0, 1j], [0, -2]], dtype=complex)
+        assert np.array_equal(la.pivot_phases(vectors), [1, -1])
 
 
 class TestPsdSqrt:

@@ -35,6 +35,12 @@ class TestSamplerConfig:
         with pytest.raises(ValueError):
             pr.SamplerConfig(seed=0, trials=1, dims=(1,))
 
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3, 2), (4, 3, 4, 4)])
+    def test_rejects_repeated_dim(self, dims):
+        # a repeated dim would run and count the same seeded trials twice
+        with pytest.raises(ValueError, match="more than once"):
+            pr.SamplerConfig(seed=0, trials=1, dims=dims)
+
     @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-9])
     def test_rejects_non_finite_or_negative_tolerance(self, tol):
         with pytest.raises(ValueError, match="tolerance"):

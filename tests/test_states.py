@@ -38,6 +38,15 @@ class TestDensityMatrix:
         with pytest.raises(la.DimensionMismatchError):
             qs.DensityMatrix(np.eye(4) / 4, dims=(2, 3))
 
+    @pytest.mark.parametrize("dims", [(-1, -4), (-2, -2), (-1, 2, -2), (0, 4)])
+    def test_dims_must_be_positive(self, dims):
+        # negative dims can multiply to the right size; they are refused like a wrong product
+        rho = qs.DensityMatrix(np.eye(4) / 4)
+        with pytest.raises(la.DimensionMismatchError, match="not positive"):
+            rho.with_dims(dims)
+        with pytest.raises(la.DimensionMismatchError, match="not positive"):
+            qs.DensityMatrix.trusted(np.eye(4) / 4, dims)
+
     @pytest.mark.parametrize("entry", [np.nan, np.inf, 1e308])
     def test_rejects_non_finite_after_symmetrising(self, entry):
         # 1e308 is finite but overflows when the matrix is symmetrised
