@@ -56,7 +56,6 @@ from .states import (
     logical_divergence,
     logical_entropy,
     measured_state,
-    min_logical_entropy,
     purity,
     pvm_logical_entropy,
     relative_logical_entropy,

@@ -72,7 +72,7 @@ def hs_norm_sq(m: np.ndarray) -> np.ndarray:
 def require_hermitian(m: np.ndarray, tol: float = HERMITICITY_TOL) -> np.ndarray:
     m = as_stack(m)
     defect = hermiticity_defect(m)
-    if defect > tol:
+    if not defect <= tol:  # a NaN defect fails too
         raise NotHermitianError(f"hermiticity defect {defect:.3e} exceeds {tol:.1e}")
     return m
 
@@ -167,6 +167,9 @@ def majorizes(y: np.ndarray, x: np.ndarray, slack: float = 1e-12) -> bool:
 
 
 def is_unitary(u: np.ndarray, tol: float = HERMITICITY_TOL) -> bool:
+    """True iff eta (1 + eta) <= tol for eta = ||U^dag U - I||_F, which bounds every entry
+    of U U^dag - I, P_i^2 - P_i and P_i P_j for projectors P_i onto disjoint column groups."""
     u = as_matrix(u)
-    eye = np.eye(u.shape[0])
-    return float(np.max(np.abs(u.conj().T @ u - eye))) <= tol
+    with np.errstate(over="ignore", invalid="ignore"):
+        eta = float(np.linalg.norm(dagger(u) @ u - np.eye(u.shape[0])))
+    return eta * (1.0 + eta) <= tol

@@ -60,8 +60,8 @@ class GeneralizedDensity:
     def __init__(self, mat):
         mat = la.as_matrix(mat)
         tr = complex(np.trace(mat))
-        if abs(tr - 1.0) > 1e-9:
-            raise ValidationError(f"generalized density has trace {tr}, expected 1")
+        if not (np.isfinite(mat).all() and abs(tr - 1.0) <= 1e-9):
+            raise ValidationError(f"generalized density has trace {tr} or non-finite entries")
         self.mat = mat
 
     @property

@@ -19,7 +19,7 @@ from . import states as qs
 from .channels import InteractionBlocks, prop6_bounds
 from .partitions import distinct_pair_fraction
 from .reports import matrix_to_pairs
-from .states import OUTCOME_EPS, DensityMatrix, Pvm, outcome_probabilities
+from .states import DensityMatrix, Pvm, outcome_probabilities
 
 STATUS_VERIFIED = "verified"
 STATUS_VIOLATED = "violated"
@@ -172,16 +172,10 @@ def _check_2(b: _Block, db: int) -> np.ndarray:
 
 @_alternating
 def _check_3(b: _Block, db: int) -> np.ndarray:
-    # conditional B states for a Haar PVM on A; outcomes with p <= OUTCOME_EPS are dropped
+    # conditional B states for a Haar basis on A; an empty outcome has p = 0
     rho = b.densities(0, b.dim, db)
-    u = b.unitaries(1, b.dim)
-    # outcome k projects A on column u_k: m_k[b, e] = sum_{c,d} conj(u_ck) u_dk rho[(c, b), (d, e)]
-    half = np.einsum("nck,ncbde->nkbde", u.conj(), rho.mat.reshape(-1, b.dim, db, b.dim, db))
-    m = np.einsum("ndk,nkbde->nkbe", u, half)
-    p = np.einsum("nkbb->nk", m).real
-    kept = p > OUTCOME_EPS
-    cond = DensityMatrix.trusted((m + la.dagger(m)) / 2 / np.where(kept, p, 1.0)[..., None, None])
-    branches = np.sum(np.where(kept, p * qs.logical_entropy(cond), 0.0), axis=1)
+    p, cond = qs.conditional_states(rho, b.unitaries(1, b.dim))
+    branches = np.sum(p * qs.logical_entropy(cond), axis=1)
     return qs.logical_entropy(rho) - qs.logical_entropy(rho.reduced("A")) - branches
 
 

@@ -162,15 +162,22 @@ class Pvm:
 
     @classmethod
     def from_basis(cls, basis: np.ndarray, groups: list[int] | None = None) -> "Pvm":
-        """PVM whose blocks project onto groups of columns of a unitary basis."""
+        """PVM whose blocks project onto groups of columns of a unitary basis. The Gram
+        check of la.is_unitary replaces the block checks of __init__, with d^2 eps of
+        HERMITICITY_TOL left for their rounding, so it is never looser than they are."""
         basis = la.as_matrix(basis)
         dim = basis.shape[0]
         if groups is None:
             groups = [1] * dim
         if sum(groups) != dim or any(g < 1 for g in groups):
             raise ValidationError(f"groups {groups} do not partition dimension {dim}")
-        edges = np.cumsum([0, *groups])
-        return cls([basis[:, a:b] @ basis[:, a:b].conj().T for a, b in zip(edges, edges[1:])])
+        if not la.is_unitary(basis, HERMITICITY_TOL - dim * dim * np.finfo(float).eps):
+            raise ValidationError("basis is not unitary within the PVM tolerance")
+        pvm = cls.__new__(cls)
+        columns = np.split(basis, np.cumsum(groups)[:-1], axis=1)
+        pvm.blocks = np.stack([u @ la.dagger(u) for u in columns])
+        pvm.non_degenerate = len(groups) == dim
+        return pvm
 
     @classmethod
     def computational(cls, dim: int, groups: list[int] | None = None) -> "Pvm":
@@ -222,17 +229,9 @@ def pvm_logical_entropy(rho: DensityMatrix, pvm: Pvm) -> float:
     return float(1.0 - np.sum(q * q))
 
 
-def min_logical_entropy(rho: DensityMatrix) -> float:
-    """Minimum of the PVM-dependent entropy over non-degenerate PVMs.
-
-    The minimizer is the eigenbasis of rho, where the value collapses to
-    1 - tr rho^2.
-    """
-    return logical_entropy(rho)
-
-
 def eigenbasis_pvm(rho: DensityMatrix) -> Pvm:
-    """The non-degenerate PVM that attains min_logical_entropy."""
+    """The eigenbasis PVM: the minimum of pvm_logical_entropy over non-degenerate
+    PVMs is reached there, at logical_entropy(rho) = 1 - tr rho^2."""
     _, vectors = hermitian_eig(rho.mat)
     return Pvm.from_basis(vectors)
 
@@ -303,20 +302,22 @@ def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
 
 
 def conditional_states(
-    rho_ab: DensityMatrix, pvm_on_a: Pvm
-) -> list[tuple[float, DensityMatrix]]:
-    """Outcome probabilities and conditional B states for a PVM on factor A.
-
-    Outcomes with probability <= 1e-12 are dropped (their conditional state is
-    undefined).
-    """
+    rho_ab: DensityMatrix, basis: np.ndarray
+) -> tuple[np.ndarray, DensityMatrix]:
+    """Outcome probabilities p (..., d_A) and conditional B states (..., d_A, d_B, d_B)
+    for measuring A in the columns of a trusted unitary basis (..., d_A, d_A). An
+    outcome with p <= OUTCOME_EPS has no conditional state: it gets p = 0 and I/d_B."""
     da, db = rho_ab.bipartite_dims()
-    if pvm_on_a.dim != da:
-        raise DimensionMismatchError(f"PVM dim {pvm_on_a.dim} vs factor A dim {da}")
-    # with A_k^2 = A_k, m_k = tr_A[(A_k (x) I) rho (A_k (x) I)] has entries
-    # m_k[b, e] = sum_{c,d} A_k[d, c] rho[(c, b), (d, e)]
-    m = np.einsum("kdc,cbde->kbe", pvm_on_a.blocks, rho_ab.mat.reshape(da, db, da, db))
-    p = np.einsum("kii->k", m).real
+    basis = la.as_stack(basis)
+    if basis.shape[-1] != da:
+        raise DimensionMismatchError(f"basis dim {basis.shape[-1]} vs factor A dim {da}")
+    # outcome k projects A on column u_k: m_k[b, e] = sum_{c,d} conj(u_ck) u_dk rho[(c, b), (d, e)]
+    rho = rho_ab.mat.reshape(*rho_ab.mat.shape[:-2], da, db, da, db)
+    half = np.einsum("...ck,...cbde->...kbde", basis.conj(), rho)
+    m = np.einsum("...dk,...kbde->...kbe", basis, half)
+    p = np.einsum("...kbb->...k", m).real
     kept = p > OUTCOME_EPS
-    cond = (m + la.dagger(m))[kept] / 2 / p[kept, None, None]
-    return [(float(p_k), DensityMatrix.trusted(c)) for p_k, c in zip(p[kept], cond)]
+    cond = (m + la.dagger(m)) / 2 / np.where(kept, p, 1.0)[..., None, None]
+    cond[~kept] = np.eye(db) / db
+    p[~kept] = 0.0
+    return p, DensityMatrix.trusted(cond)

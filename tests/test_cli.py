@@ -601,6 +601,8 @@ class TestBlasThreadDeterminism:
                 ["postselect", "--pre", str(pre), "--post", str(post), "--pvm", str(pvm)],
                 ["sample", "--in", str(rho), "--pvm", str(pvm), "--trials", "20000"],
             ]
+        # every proposition; prop 6 runs its Haar QR at joint dims 42 and 63 for d = 21
+        argvs.append(["verify", "--dims", "2,3,4,21", "--trials", "20", "--seed", "5"])
         runs = [_cli_subprocess(argvs, threads) for threads in ("1", "4")]
         for proc in runs:
             assert proc.returncode == 0, proc.stderr

@@ -195,6 +195,15 @@ class TestHermitianEig:
         with pytest.raises(la.NotHermitianError):
             la.hermitian_eig(np.array([[0, 1], [0, 0]], dtype=complex))
 
+    @pytest.mark.parametrize("entry", [(0, 0), (0, 1)])
+    def test_rejects_a_nan_entry(self, entry):
+        m = np.diag([0.5, 1.0]).astype(complex)
+        m[entry] = np.nan
+        with pytest.raises(la.NotHermitianError, match="nan"):
+            la.hermitian_eig(m)
+        with pytest.raises(la.NotHermitianError):
+            la.hermitian_eigvals(np.stack([np.eye(2), m]))
+
     @pytest.mark.parametrize("kind", ["full_rank", "rank_one", "diagonal"])
     def test_bit_identical_to_the_reference_phase_loop(self, kind):
         rng = np.random.default_rng(["full_rank", "rank_one", "diagonal"].index(kind))
@@ -237,6 +246,27 @@ class TestPsdSqrt:
     def test_rejects_negative_eigenvalue(self):
         with pytest.raises(la.NotPsdError):
             la.psd_sqrt(np.diag([1.0, -0.5]))
+
+    def test_rejects_a_nan_entry(self):
+        with pytest.raises(la.NotHermitianError):
+            la.psd_sqrt(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
+
+class TestIsUnitary:
+    def test_gram_residual_bound(self):
+        rng = np.random.default_rng(12)
+        for dim in (1, 2, 5, 16):
+            for _ in range(50):
+                q, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+                g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+                u = q + 10.0 ** rng.uniform(-12, -8) * g
+                eta = np.linalg.norm(u.conj().T @ u - np.eye(dim))
+                assert la.is_unitary(u) == (eta * (1 + eta) <= la.HERMITICITY_TOL)
+                if la.is_unitary(u):
+                    # eta bounds every entry of U U^dag - I, not only of U^dag U - I
+                    assert np.max(np.abs(u @ u.conj().T - np.eye(dim))) <= 1e-9
+        assert not la.is_unitary(np.eye(3) * (1 + 1e-9))
+        assert not la.is_unitary(np.array([[1, 1], [0, 1]]))
 
 
 def majorizes_oracle(y, x):

@@ -49,6 +49,14 @@ class TestPrePostState:
         with pytest.raises(qs.ValidationError, match="non-finite"):
             ps.PrePostPair(np.array([np.nan, 1.0]), KET0)
 
+    @pytest.mark.parametrize("entry", [(0, 0), (0, 1)])
+    def test_generalized_density_rejects_a_nan_entry(self, entry):
+        mat = np.outer(PLUS, KET0).astype(complex) * np.sqrt(2)
+        ps.GeneralizedDensity(mat)
+        mat[entry] = np.nan
+        with pytest.raises(qs.ValidationError, match="non-finite"):
+            ps.GeneralizedDensity(mat)
+
 
 class TestWeakValues:
     def test_plus_zero_pair(self):

@@ -112,6 +112,49 @@ class TestPvm:
         assert fine.non_degenerate
         assert not coarse.non_degenerate
 
+    @pytest.mark.parametrize("dim", [2, 3, 8, 16])
+    def test_from_basis_never_looser_than_the_block_checks(self, dim):
+        # bases U + eps G, eps log-uniform in [1e-12, 1e-8], straddle the Gram bound
+        rng = np.random.default_rng(dim)
+        accepted = rejected = 0
+        for t in range(150):
+            u = sample_unitary(dim, dim, t)
+            g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+            basis = u + 10.0 ** rng.uniform(-12, -8) * g
+            groups = None if t % 2 else [1, dim - 1]
+            try:
+                pvm = qs.Pvm.from_basis(basis, groups)
+            except qs.ValidationError:
+                rejected += 1
+                continue
+            accepted += 1
+            reference = qs.Pvm(list(pvm.blocks))
+            assert reference.non_degenerate == pvm.non_degenerate
+        assert accepted > 10 and rejected > 10
+
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, 1e308, 1e160])
+    def test_from_basis_rejects_non_finite_entries(self, entry):
+        # 1e160 is finite, but its Gram products overflow
+        basis = np.eye(3, dtype=complex)
+        basis[2, 0] = entry
+        with pytest.raises(qs.ValidationError, match="not unitary"):
+            qs.Pvm.from_basis(basis)
+
+    def test_from_basis_rejects_a_non_unitary_basis(self):
+        with pytest.raises(qs.ValidationError, match="not unitary"):
+            qs.Pvm.from_basis(np.array([[1.0, 1.0], [0.0, 1.0]]) / np.sqrt(2))
+        with pytest.raises(qs.ValidationError, match="not unitary"):
+            qs.Pvm.from_basis(np.eye(2) * (1 + 1e-9), [2])
+
+    @pytest.mark.parametrize("dim, groups", [(1, None), (5, None), (8, [3, 5]), (64, None)])
+    def test_from_basis_blocks_are_the_per_group_products(self, dim, groups):
+        basis = sample_unitary(dim, dim)
+        edges = np.cumsum([0, *(groups or [1] * dim)])
+        expected = [basis[:, a:b] @ basis[:, a:b].conj().T for a, b in zip(edges, edges[1:])]
+        pvm = qs.Pvm.from_basis(basis, groups)
+        assert pvm.blocks.tobytes() == np.stack(expected).tobytes()
+        assert pvm.non_degenerate == (groups is None)
+
     def test_random_basis_residuals(self):
         pvm = sample_pvm(3, 4)
         total = sum(pvm.blocks)
@@ -215,7 +258,7 @@ class TestPvmEntropy:
         for seed in range(30):
             rho = sample_density(seed, 3)
             pvm = sample_pvm(seed + 1000, 3)
-            assert qs.pvm_logical_entropy(rho, pvm) >= qs.min_logical_entropy(rho) - 1e-9
+            assert qs.pvm_logical_entropy(rho, pvm) >= qs.logical_entropy(rho) - 1e-9
 
     def test_measurement_never_decreases_entropy(self):
         for seed in range(30):
@@ -228,25 +271,25 @@ class TestPvmEntropy:
 class TestMinEntropy:
     def test_plus_state(self):
         rho = qs.DensityMatrix.pure(PLUS)
-        assert qs.min_logical_entropy(rho) == pytest.approx(0.0, abs=1e-12)
+        assert qs.logical_entropy(rho) == pytest.approx(0.0, abs=1e-12)
         assert qs.pvm_logical_entropy(rho, comp_pvm()) == pytest.approx(0.5, abs=1e-12)
 
     def test_maximally_mixed(self):
         for d in (2, 3, 4):
             rho = qs.DensityMatrix.maximally_mixed(d)
-            assert qs.min_logical_entropy(rho) == pytest.approx(1 - 1 / d, abs=1e-12)
+            assert qs.logical_entropy(rho) == pytest.approx(1 - 1 / d, abs=1e-12)
 
     def test_attained_by_eigenbasis_pvm(self):
         for seed in range(10):
             rho = sample_density(seed, 4)
             pvm = qs.eigenbasis_pvm(rho)
             assert qs.pvm_logical_entropy(rho, pvm) == pytest.approx(
-                qs.min_logical_entropy(rho), abs=1e-9
+                qs.logical_entropy(rho), abs=1e-9
             )
 
     def test_random_search_lower_bound_oracle(self):
         rho = sample_density(99, 3)
-        floor = qs.min_logical_entropy(rho)
+        floor = qs.logical_entropy(rho)
         for seed in range(200):
             pvm = sample_pvm(seed, 3, None, 0xF00)
             assert qs.pvm_logical_entropy(rho, pvm) >= floor - 1e-9
@@ -409,31 +452,75 @@ class TestConditionalStates:
         joint = qs.DensityMatrix.trusted(
             la.tensor_product(rho_a.mat, rho_b.mat), (2, 3)
         )
-        for p_k, cond in qs.conditional_states(joint, comp_pvm(2)):
-            assert np.max(np.abs(cond.mat - rho_b.mat)) <= 1e-9
+        p, cond = qs.conditional_states(joint, np.eye(2))
+        assert np.max(np.abs(p - np.diag(rho_a.mat).real)) <= 1e-12
+        for c in cond.mat:
+            assert np.max(np.abs(c - rho_b.mat)) <= 1e-9
 
     def test_bell_state(self):
         rho = qs.DensityMatrix.pure(BELL, (2, 2))
-        branches = qs.conditional_states(rho, comp_pvm(2))
-        assert len(branches) == 2
-        probs = [p for p, _ in branches]
-        assert probs == pytest.approx([0.5, 0.5], abs=1e-12)
-        assert np.max(np.abs(branches[0][1].mat - np.outer(KET0, KET0))) <= 1e-9
-        assert np.max(np.abs(branches[1][1].mat - np.outer(KET1, KET1))) <= 1e-9
+        p, cond = qs.conditional_states(rho, np.eye(2))
+        assert p.shape == (2,) and cond.mat.shape == (2, 2, 2)
+        assert p == pytest.approx([0.5, 0.5], abs=1e-12)
+        assert np.max(np.abs(cond.mat[0] - np.outer(KET0, KET0))) <= 1e-9
+        assert np.max(np.abs(cond.mat[1] - np.outer(KET1, KET1))) <= 1e-9
 
     def test_classically_correlated(self):
         mat = np.zeros((4, 4), dtype=complex)
         mat[0, 0] = mat[3, 3] = 0.5
         rho = qs.DensityMatrix(mat, (2, 2))
-        branches = qs.conditional_states(rho, comp_pvm(2))
-        assert [p for p, _ in branches] == pytest.approx([0.5, 0.5], abs=1e-12)
-        assert np.max(np.abs(branches[0][1].mat - np.outer(KET0, KET0))) <= 1e-9
+        p, cond = qs.conditional_states(rho, np.eye(2))
+        assert p == pytest.approx([0.5, 0.5], abs=1e-12)
+        assert np.max(np.abs(cond.mat[0] - np.outer(KET0, KET0))) <= 1e-9
 
     def test_mixture_reassembles_reduced_state(self):
         for seed in range(10):
             rho = sample_density(seed, 6).with_dims((2, 3))
-            pvm = sample_pvm(seed + 3, 2)
-            branches = qs.conditional_states(rho, pvm)
-            assert sum(p for p, _ in branches) == pytest.approx(1.0, abs=1e-9)
-            mix = sum(p * c.mat for p, c in branches)
+            p, cond = qs.conditional_states(rho, sample_unitary(seed + 3, 2))
+            assert np.sum(p) == pytest.approx(1.0, abs=1e-9)
+            mix = np.einsum("k,kij->ij", p, cond.mat)
             assert np.max(np.abs(mix - rho.reduced("B").mat)) <= 1e-9
+
+    @pytest.mark.parametrize("dims", [(2, 3), (3, 2), (4, 4)])
+    def test_batch_rows_equal_single_calls(self, dims):
+        n, d = 6, dims[0] * dims[1]
+        rho = qs.DensityMatrix.trusted(sample_densities(4, n, d), dims)
+        bases = np.stack([sample_unitary(5, dims[0], t) for t in range(n)])
+        # row 0 has empty outcomes: |0><0| (x) I/d_B in the computational basis
+        ket0 = np.diag(np.eye(dims[0])[0])
+        rho.mat[0] = la.tensor_product(ket0, np.eye(dims[1]) / dims[1])
+        bases[0] = np.eye(dims[0])
+        p, cond = qs.conditional_states(rho, bases)
+        assert p.shape == (n, dims[0]) and cond.mat.shape == (n, dims[0], dims[1], dims[1])
+        for t in range(n):
+            row = qs.DensityMatrix.trusted(rho.mat[t], dims)
+            p_t, cond_t = qs.conditional_states(row, bases[t])
+            assert p[t].tobytes() == p_t.tobytes()
+            assert cond.mat[t].tobytes() == cond_t.mat.tobytes()
+
+    @pytest.mark.parametrize("dims", [(2, 3), (3, 2), (4, 4)])
+    def test_matches_the_projector_form(self, dims):
+        da, db = dims
+        for seed in range(5):
+            rho = sample_density(seed, da * db).with_dims(dims)
+            basis = sample_unitary(seed, da, 7)
+            p, cond = qs.conditional_states(rho, basis)
+            for k in range(da):
+                proj = np.kron(np.outer(basis[:, k], basis[:, k].conj()), np.eye(db))
+                m_k = la.reduce_state(proj @ rho.mat @ proj, [da, db], [1])
+                p_k = np.trace(m_k).real
+                assert abs(p[k] - p_k) <= 1e-14
+                assert np.max(np.abs(cond.mat[k] - m_k / p_k)) <= 1e-14
+
+    def test_empty_outcome_gets_zero_probability_and_the_maximally_mixed_state(self):
+        sigma = sample_density(2, 3)
+        rho = qs.DensityMatrix.trusted(la.tensor_product(np.diag([1.0, 0.0]), sigma.mat), (2, 3))
+        p, cond = qs.conditional_states(rho, np.eye(2))
+        assert p[0] == 1.0 and p[1] == 0.0
+        assert np.max(np.abs(cond.mat[0] - sigma.mat)) <= 1e-15
+        assert np.array_equal(cond.mat[1], np.eye(3) / 3)
+
+    def test_rejects_a_basis_of_the_wrong_dimension(self):
+        rho = qs.DensityMatrix.pure(BELL, (2, 2))
+        with pytest.raises(la.DimensionMismatchError):
+            qs.conditional_states(rho, np.eye(4))
