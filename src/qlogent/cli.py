@@ -11,6 +11,7 @@ from . import postselect as ps
 from . import reports
 from .linalg import DimensionMismatchError, NotHermitianError, NotPsdError
 from .propositions import (
+    PROP6_MAX_DIM,
     PROPOSITION_IDS,
     STATUS_COUNTEREXAMPLE,
     STATUS_VERIFIED,
@@ -112,6 +113,11 @@ def cmd_verify(args) -> tuple[dict, int]:
         if pid not in known or pid in props[:i]:
             raise ValueError(f"{'repeated' if pid in known else 'unknown'} proposition id {pid!r}")
     cfg = SamplerConfig(args.seed, args.trials, tuple(args.dims), args.tol)
+    if "6" in props and max(cfg.dims) > PROP6_MAX_DIM:
+        raise DimensionMismatchError(
+            f"prop 6 takes dims up to {PROP6_MAX_DIM}: above, its Haar QR at joint dim 3d"
+            " depends on the BLAS thread count"
+        )
     results = {}
     ok = True
     for pid in props:

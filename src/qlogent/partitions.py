@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
-import os
-import threading
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
+from .linalg import _split_over_cpus
 from .sampling import rng_for
 
 PROB_SUM_TOL = 1e-9
@@ -134,31 +134,10 @@ def distinct_pair_fraction(p: np.ndarray, trials: int, rng: np.random.Generator)
     key = state["state"]["key"]
     cdf = np.cumsum(p)
     cdf /= cdf[-1]
-    workers = max(1, min(_usable_cpus(), min(MC_CHUNK, trials) // MC_MIN_SHARE))
-    counts: list = [0] * workers
-
-    def run(w: int) -> None:
-        try:
-            counts[w] = _count_share(cdf, key, trials, w, workers)
-        except Exception as exc:  # re-raised on the calling thread
-            counts[w] = exc
-
-    threads = [threading.Thread(target=run, args=(w,)) for w in range(1, workers)]
-    for t in threads:
-        t.start()
-    run(0)
-    for t in threads:
-        t.join()
-    for c in counts:
-        if isinstance(c, Exception):
-            raise c
+    counts = _split_over_cpus(
+        partial(_count_share, cdf, key, trials), min(MC_CHUNK, trials) // MC_MIN_SHARE
+    )
     return sum(counts) / trials
-
-
-def _usable_cpus() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 def _count_share(cdf: np.ndarray, key, trials: int, w: int, workers: int) -> int:

@@ -30,6 +30,10 @@ SSA_MIN_VIOLATION = 1e-6
 TRIALS_PER_BLOCK = 128  # even, so a trial's parity is its row's parity
 
 _MAX_FAILURE_EXAMPLES = 10
+# Prop 6 samples Haar unitaries on joint spaces of dimension 2d and 3d. Their LAPACK
+# QR (sampling.sample_unitaries) was identical under 1 and 4 BLAS threads up to
+# dimension 96 and differed from 100 up, so verify refuses prop 6 above d = 96 / 3.
+PROP6_MAX_DIM = 32
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 
@@ -55,6 +56,28 @@ def load_matrix_file(path: str, kind: str):
 
     The object is a validated DensityMatrix, a complex vector or a validated Pvm.
     """
+    # json.loads builds one list per [re, im] pair, 266k for a d = 64 PVM, and
+    # the cyclic collector would rescan them all on every collection it triggers.
+    # JSON trees hold no reference cycles, so pausing it until they are released
+    # leaves no garbage behind.
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        entries, dims, info = _read_entries(path, kind)
+    finally:
+        if enabled:
+            gc.enable()
+    if kind == "vector":
+        return entries, info
+    if kind == "pvm":
+        return Pvm(entries), info
+    if entries.shape[0] != entries.shape[1]:
+        raise ParseError(f"{path}: density matrix must be square")
+    return DensityMatrix(entries, dims), info
+
+
+def _read_entries(path: str, kind: str):
+    """(decoded arrays, dims or None, info) of a matrix file; the parsed lists die with it."""
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
@@ -72,27 +95,17 @@ def load_matrix_file(path: str, kind: str):
         ):
             raise ParseError(f"{path}: dims must be a list of positive integers")
         dims = tuple(dims)
-    # rebinding entries to arrays releases the parsed lists before validation
-    # allocates its temporaries
     entries = doc.pop(key)
-    del doc, raw
+    del doc, raw  # released before the decode allocates its arrays
     try:
         if kind != "pvm":
-            entries = pairs_to_array(entries, 1 if kind == "vector" else 2)
-        elif not isinstance(entries, list) or not entries:
+            return pairs_to_array(entries, 1 if kind == "vector" else 2), dims, info
+        if not isinstance(entries, list) or not entries:
             raise ParseError("'blocks' must be a non-empty list")
-        else:
-            # decoded one by one, not stacked, so Pvm can report blocks of mixed dimension
-            entries = [pairs_to_array(b, 2) for b in entries]
+        # decoded one by one, not stacked, so Pvm can report blocks of mixed dimension
+        return [pairs_to_array(b, 2) for b in entries], dims, info
     except ParseError as exc:
         raise ParseError(f"{path}: {exc}") from None
-    if kind == "vector":
-        return entries, info
-    if kind == "pvm":
-        return Pvm(entries), info
-    if entries.shape[0] != entries.shape[1]:
-        raise ParseError(f"{path}: density matrix must be square")
-    return DensityMatrix(entries, dims), info
 
 
 def write_matrix_file(path: str, kind: str, matrix, dims=None) -> None:

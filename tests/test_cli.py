@@ -1,4 +1,5 @@
 import argparse
+import gc
 import json
 import os
 import subprocess
@@ -490,6 +491,45 @@ class TestMatrixFileRoundTrip:
         assert np.array_equal(loaded.blocks, pvm.blocks)
 
 
+@pytest.fixture
+def restore_gc():
+    enabled = gc.isenabled()
+    yield
+    (gc.enable if enabled else gc.disable)()
+
+
+class TestCollectorPause:
+    """load_matrix_file pauses the cyclic collector while the parsed lists live,
+    and leaves it as it found it."""
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_collector_state_kept(self, files, tmp_path, restore_gc, enabled):
+        (gc.enable if enabled else gc.disable)()
+        reports.load_matrix_file(files["comp_pvm.json"], "pvm")
+        assert gc.isenabled() == enabled
+        bad_pair = tmp_path / "bad_pair.json"
+        bad_pair.write_text('{"kind": "vector", "matrix": [[1.0, true]]}')
+        for path, kind in ((files["not_json.json"], "density"), (bad_pair, "vector")):
+            with pytest.raises(reports.ParseError):
+                reports.load_matrix_file(str(path), kind)
+            assert gc.isenabled() == enabled
+
+    def test_paused_until_the_decode_ends(self, files, monkeypatch):
+        seen = []
+
+        def spy(name, fn):
+            def call(*args):
+                seen.append((name, gc.isenabled()))
+                return fn(*args)
+
+            monkeypatch.setattr(reports, name, call)
+
+        spy("pairs_to_array", reports.pairs_to_array)
+        spy("Pvm", reports.Pvm)
+        reports.load_matrix_file(files["comp_pvm.json"], "pvm")
+        assert seen == [("pairs_to_array", False)] * 2 + [("Pvm", True)]
+
+
 class TestStableJson:
     def test_sorted_keys_and_float_format(self):
         out = reports.dumps_stable({"b": 0.1, "a": 2.0, "c": [1, True, None]})
@@ -601,13 +641,24 @@ class TestBlasThreadDeterminism:
                 ["postselect", "--pre", str(pre), "--post", str(post), "--pvm", str(pvm)],
                 ["sample", "--in", str(rho), "--pvm", str(pvm), "--trials", "20000"],
             ]
-        # every proposition; prop 6 runs its Haar QR at joint dims 42 and 63 for d = 21
+        # every proposition; prop 6 runs its Haar QR at joint dims 42 and 63 for d = 21,
+        # and at 64 and 96 for d = 32, the largest dim it accepts
         argvs.append(["verify", "--dims", "2,3,4,21", "--trials", "20", "--seed", "5"])
+        argvs.append(["verify", "--prop", "6", "--dims", "32", "--trials", "20", "--seed", "5"])
         runs = [_cli_subprocess(argvs, threads) for threads in ("1", "4")]
         for proc in runs:
             assert proc.returncode == 0, proc.stderr
             assert proc.stdout.count(b"exit 0\n") == len(argvs), proc.stderr
         assert runs[0].stdout == runs[1].stdout
+
+    def test_prop6_above_its_limit_exits_4_before_any_proposition(self, capsys, monkeypatch):
+        def run_proposition(pid, cfg):
+            raise AssertionError(f"proposition {pid} ran")
+
+        monkeypatch.setattr(cli, "verify_proposition", run_proposition)
+        code, out, err = run(capsys, ["verify", "--prop", "1a,6", "--dims", "2,33"])
+        assert (code, out) == (4, "")
+        assert len(err.splitlines()) == 1 and err.startswith("dimension mismatch: prop 6")
 
     def test_dimension_above_limit_exits_4(self, tmp_path):
         path = tmp_path / "rho_65.json"

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qlogent import linalg as la
 from qlogent import partitions as pt
 from qlogent.sampling import rng_for
 
@@ -260,39 +261,26 @@ class TestDrawKernel:
             assert got == float(oa != ob), (a, b)
 
 
-def count_started_threads(monkeypatch):
-    """List that collects every thread partitions starts."""
-    started = []
-
-    class CountingThread(threading.Thread):
-        def start(self):
-            started.append(self)
-            super().start()
-
-    monkeypatch.setattr(pt.threading, "Thread", CountingThread)
-    return started
-
-
 class TestWorkerSplit:
     """Each chunk split over any number of CPUs gives rng.choice's estimate, bit for bit."""
 
     @pytest.mark.parametrize("trials", [1, 3, pt.MC_CHUNK + 3, 2 * pt.MC_CHUNK + 5])
     @pytest.mark.parametrize("k", [8, 65])
     @pytest.mark.parametrize("cpus", [1, 2, 3, 5])
-    def test_matches_choice_for_any_cpu_count(self, monkeypatch, cpus, k, trials):
+    def test_matches_choice_for_any_cpu_count(
+        self, monkeypatch, started_threads, cpus, k, trials
+    ):
         # shares start at n * w // cpus, so sub-stream offsets hit every residue mod 4
-        started = count_started_threads(monkeypatch)
-        monkeypatch.setattr(pt, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(la, "_usable_cpus", lambda: cpus)
         got = pt.distinct_pair_fraction(probabilities(k), trials, rng_for(7, k))
         assert got == cached_choice_reference(k, trials)
-        assert len(started) == (cpus - 1 if trials >= pt.MC_CHUNK else 0)
+        assert len(started_threads) == (cpus - 1 if trials >= pt.MC_CHUNK else 0)
 
     @pytest.mark.parametrize("trials", [2 * pt.MC_MIN_SHARE - 1, 2 * pt.MC_MIN_SHARE])
-    def test_no_thread_below_the_minimum_share(self, monkeypatch, trials):
-        started = count_started_threads(monkeypatch)
-        monkeypatch.setattr(pt, "_usable_cpus", lambda: 2)
+    def test_no_thread_below_the_minimum_share(self, monkeypatch, started_threads, trials):
+        monkeypatch.setattr(la, "_usable_cpus", lambda: 2)
         pt.distinct_pair_fraction(probabilities(8), trials, rng_for(7, 8))
-        assert len(started) == trials // pt.MC_MIN_SHARE - 1
+        assert len(started_threads) == trials // pt.MC_MIN_SHARE - 1
 
     def test_rejects_a_used_or_non_philox_generator(self):
         p = probabilities(8)
@@ -303,7 +291,7 @@ class TestWorkerSplit:
                 pt.distinct_pair_fraction(p, 10, rng)
 
     def test_worker_error_reaches_the_caller(self, monkeypatch):
-        monkeypatch.setattr(pt, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(la, "_usable_cpus", lambda: 2)
         real = pt._count_distinct
 
         def failing(cdf, u, draws, mask):

@@ -165,6 +165,67 @@ class TestPvm:
                 assert np.max(np.abs(b @ c)) <= 1e-9
 
 
+def serial_first_overlap(blocks):
+    """The pairwise loop that _first_overlap splits, as it ran on one thread."""
+    for i in range(len(blocks) - 1):
+        bad = qs._max_abs(blocks[i] @ blocks[i + 1:]) > la.HERMITICITY_TOL
+        if bad.any():
+            return i, i + 1 + int(np.argmax(bad))
+    return None
+
+
+def planted_overlaps(k, pairs):
+    """k diagonal rank-1 projectors, where block j also holds 1e-6 at (i, i) for each (i, j)
+    of pairs: B_i B_j then has an entry 1e-6, and every other product stays below 1e-11."""
+    blocks = np.zeros((k, k, k), dtype=complex)
+    blocks[np.arange(k), np.arange(k), np.arange(k)] = 1.0
+    for i, j in pairs:
+        blocks[j, i, i] += 1e-6
+    return blocks
+
+
+class TestOrthogonalityScan:
+    """Pvm's pairwise scan names the serial loop's first overlap however its rows are split."""
+
+    @pytest.mark.parametrize("pairs", [
+        [],
+        [(0, 19)],
+        [(18, 19)],
+        # for 2, 3 and 5 CPUs, rows 4 and 10 are not both on row 3's worker, so
+        # another worker also finds an overlap, in a later row
+        [(10, 11), (4, 5), (3, 17)],
+        # two overlaps in the first failing row, in different chunks of 3
+        [(7, 8), (6, 18), (6, 9)],
+    ])
+    @pytest.mark.parametrize("chunk_blocks", [3, None])
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 5])
+    def test_first_overlap_for_any_cpu_count(
+        self, monkeypatch, started_threads, cpus, chunk_blocks, pairs
+    ):
+        blocks = planted_overlaps(20, pairs)
+        monkeypatch.setattr(la, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(qs, "PAIR_MIN_SHARE", 1)
+        if chunk_blocks:
+            monkeypatch.setattr(qs, "PAIR_CHUNK_ENTRIES", chunk_blocks * 20 * 20)
+        assert qs._first_overlap(blocks) == serial_first_overlap(blocks)
+        assert serial_first_overlap(blocks) == min(pairs, default=None)
+        assert len(started_threads) == cpus - 1
+
+    def test_split_over_the_usable_cpus(self, started_threads):
+        # 32 blocks of d = 32 hold three PAIR_MIN_SHARE shares
+        blocks = planted_overlaps(32, [(9, 30), (8, 31)])
+        assert qs._first_overlap(blocks) == (8, 31)
+        assert len(started_threads) == min(la._usable_cpus(), 3) - 1
+
+    def test_no_thread_for_small_pvms(self, monkeypatch, started_threads):
+        monkeypatch.setattr(la, "_usable_cpus", lambda: 2)
+        qs.Pvm(list(sample_pvm(1, 8).blocks))  # the 8-outcome PVM of a sample run
+        qs.Pvm(list(sample_pvm(1, 64, [32, 32]).blocks))
+        assert started_threads == []
+        qs.Pvm(list(sample_pvm(1, 32).blocks))
+        assert len(started_threads) == 1
+
+
 class TestPurityEntropy:
     def test_pure_state(self):
         rho = qs.DensityMatrix.pure(PLUS)
