@@ -109,69 +109,34 @@ def _read_entries(path: str, kind: str):
 
 
 def write_matrix_file(path: str, kind: str, matrix, dims=None) -> None:
+    """Write a density matrix, a vector, or a PVM given as a (k, d, d) stack or a list of blocks."""
     doc = {"kind": kind}
     if dims is not None:
         doc["dims"] = list(dims)
-    matrix = np.ravel(matrix) if kind == "vector" else la.as_matrix(matrix)
-    doc["matrix"] = matrix_to_pairs(matrix)
+    if kind == "pvm":
+        blocks = la.as_stack(matrix)
+        if blocks.ndim != 3:
+            raise la.DimensionMismatchError(f"expected (k, d, d) PVM blocks, got shape {blocks.shape}")
+        doc["blocks"] = matrix_to_pairs(blocks)
+    else:
+        doc["matrix"] = matrix_to_pairs(np.ravel(matrix) if kind == "vector" else la.as_matrix(matrix))
     with open(path, "w") as fh:
         fh.write(dumps_stable(doc))
         fh.write("\n")
 
 
-def _format_float(x: float) -> str:
-    if x != x:
-        raise ValueError("NaN is not serializable in reports")
-    if x in (float("inf"), float("-inf")):
-        raise ValueError("infinity is not serializable in reports")
-    if x == int(x) and abs(x) < 1e16:
-        return f"{x:.1f}"
-    return format(x, ".17g")
+def _plain(obj):
+    """JSON form of what json itself cannot encode: complex numbers and numpy values."""
+    if isinstance(obj, complex):
+        return [obj.real, obj.imag]
+    if isinstance(obj, (np.generic, np.ndarray)):
+        return obj.tolist()
+    raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
 def dumps_stable(obj) -> str:
-    """JSON with sorted keys and floats at 17 significant digits.
-
-    Hand-rolled so byte-identical output is guaranteed across runs.
-    """
-    parts: list[str] = []
-    _emit(obj, parts)
-    return "".join(parts)
-
-
-def _emit(obj, parts: list[str]) -> None:
-    if obj is None:
-        parts.append("null")
-    elif obj is True:
-        parts.append("true")
-    elif obj is False:
-        parts.append("false")
-    elif isinstance(obj, (int, np.integer)):
-        parts.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        parts.append(_format_float(float(obj)))
-    elif isinstance(obj, complex):
-        _emit([obj.real, obj.imag], parts)
-    elif isinstance(obj, str):
-        parts.append(json.dumps(obj))
-    elif isinstance(obj, dict):
-        parts.append("{")
-        for i, key in enumerate(sorted(obj)):
-            if i:
-                parts.append(",")
-            parts.append(json.dumps(str(key)))
-            parts.append(":")
-            _emit(obj[key], parts)
-        parts.append("}")
-    elif isinstance(obj, (list, tuple, np.ndarray)):
-        parts.append("[")
-        for i, item in enumerate(list(obj)):
-            if i:
-                parts.append(",")
-            _emit(item, parts)
-        parts.append("]")
-    else:
-        raise TypeError(f"cannot serialize {type(obj).__name__}")
+    """Compact JSON with sorted keys and shortest round-trip floats; NaN and inf raise ValueError."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False, default=_plain)
 
 
 def run_report(

@@ -110,10 +110,13 @@ class DensityMatrix:
     @classmethod
     def pure(cls, vec, dims: tuple[int, ...] | None = None) -> "DensityMatrix":
         v = np.asarray(vec, dtype=complex).ravel()
-        n = np.linalg.norm(v)
-        if n == 0:
-            raise ValidationError("zero vector")
-        v = v / n
+        # scaled by its largest real or imaginary part first, so the norm can neither
+        # overflow nor underflow; the scale is NaN or inf for a non-finite entry
+        scale = np.max(np.abs(v.view(float)), initial=0.0)
+        if not 0 < scale < np.inf:
+            raise ValidationError("vector is zero or has non-finite entries")
+        v = v / scale
+        v = v / np.linalg.norm(v)
         return cls.trusted(np.outer(v, v.conj()), dims)
 
     @classmethod

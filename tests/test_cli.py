@@ -2,15 +2,19 @@ import argparse
 import gc
 import json
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qlogent
 from qlogent import cli, reports
+from qlogent.linalg import DimensionMismatchError
 from qlogent.sampling import sample_density, sample_pvm, sample_state_vector
 from qlogent.states import DensityMatrix, Pvm
 
@@ -52,8 +56,7 @@ def files(tmp_path):
 
 
 def write_pvm(path, pvm):
-    doc = {"kind": "pvm", "blocks": reports.matrix_to_pairs(pvm.blocks)}
-    path.write_text(reports.dumps_stable(doc) + "\n")
+    reports.write_matrix_file(str(path), "pvm", pvm.blocks)
 
 
 def _bell():
@@ -63,6 +66,55 @@ def _bell():
 
 
 DATA = Path(__file__).parent / "data"
+
+
+def _plain(value):
+    """What a report value should parse back to: tuples as lists, complex numbers as
+    [re, im], numpy scalars as Python numbers."""
+    if isinstance(value, dict):
+        return {k: _plain(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_plain(v) for v in value]
+    if isinstance(value, np.generic):
+        value = value.item()
+    if isinstance(value, complex):
+        return [value.real, value.imag]
+    return value
+
+
+def assert_same_plain(parsed, expected):
+    """Equal, with equal types all the way down, and floats equal bit for bit (-0.0 too)."""
+    assert type(parsed) is type(expected), (parsed, expected)
+    if isinstance(expected, dict):
+        assert parsed.keys() == expected.keys()
+        for key in expected:
+            assert_same_plain(parsed[key], expected[key])
+    elif isinstance(expected, list):
+        assert len(parsed) == len(expected)
+        for a, b in zip(parsed, expected):
+            assert_same_plain(a, b)
+    elif isinstance(expected, float):
+        assert struct.pack("<d", parsed) == struct.pack("<d", expected)
+    else:
+        assert parsed == expected
+
+
+_FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [-0.0, 5e-324, -2.2250738585072014e-308 / 3, 1e16, -3e16, 9.999999999999998e16, 2.0**60]
+)
+_SCALARS = (
+    st.none() | st.booleans() | st.integers() | st.text() | _FLOATS
+    | st.complex_numbers(allow_nan=False, allow_infinity=False)
+    | _FLOATS.map(np.float64) | st.integers(-2**63, 2**63 - 1).map(np.int64)
+    | st.booleans().map(np.bool_)
+    | st.complex_numbers(allow_nan=False, allow_infinity=False).map(np.complex128)
+)
+_JSON_VALUES = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=4) | st.tuples(inner, inner)
+    | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=20,
+)
 
 
 def assert_report_matches(fresh, pinned, path="report"):
@@ -149,6 +201,18 @@ class TestRelativeCommand:
         reports.write_matrix_file(str(path), "density", _bell())
         doc = run_json(capsys, ["relative", "--in", str(path), "--dims", "2,2"])
         assert doc["results"]["matches_minus_divergence"]
+
+    def test_dims_flag_equal_to_the_tag_passes(self, files, capsys):
+        tagged = run_json(capsys, ["relative", "--in", files["bell.json"]])
+        flagged = run_json(capsys, ["relative", "--in", files["bell.json"], "--dims", "2,2"])
+        assert flagged["results"] == tagged["results"]
+
+    @pytest.mark.parametrize("dims", ["4,1", "1,4"])
+    def test_dims_flag_differing_from_the_tag_exits_4(self, files, capsys, dims):
+        # the file's (2, 2) would be used while the report echoed the flag
+        code, out, err = run(capsys, ["relative", "--in", files["bell.json"], "--dims", dims])
+        assert (code, out) == (4, "")
+        assert len(err.splitlines()) == 1 and "differ from the file's dims (2, 2)" in err, err
 
     def test_missing_dims_is_dimension_error(self, files, capsys, tmp_path):
         path = tmp_path / "bell_untagged2.json"
@@ -404,6 +468,17 @@ class TestMalformedInput:
         assert code == 2
         assert "parse error" in err
 
+    def test_non_orthogonal_pvm_blocks_exit_3(
+        self, files, capsys, tmp_path, nearly_orthogonal_blocks
+    ):
+        half = tmp_path / "half.json"
+        reports.write_matrix_file(str(half), "density", np.eye(2) / 2)
+        path = tmp_path / "pvm.json"
+        reports.write_matrix_file(str(path), "pvm", nearly_orthogonal_blocks)
+        code, out, err = run(capsys, ["entropy", "--in", str(half), "--pvm", str(path)])
+        assert (code, out) == (3, "")
+        assert err == "validation error: blocks 0,1 not orthogonal\n"
+
     def test_pvm_blocks_of_mixed_dimension_exit_4(self, files, capsys, tmp_path):
         path = tmp_path / "pvm.json"
         blocks = [reports.matrix_to_pairs(np.eye(2)), reports.matrix_to_pairs(np.zeros((3, 3)))]
@@ -484,11 +559,20 @@ class TestMatrixFileRoundTrip:
         assert np.array_equal(loaded, v)
 
     def test_pvm_round_trip(self, tmp_path):
-        pvm = sample_pvm(5, 4, [2, 2])
-        p = tmp_path / "p.json"
-        write_pvm(p, pvm)
-        loaded, _ = reports.load_matrix_file(str(p), "pvm")
-        assert np.array_equal(loaded.blocks, pvm.blocks)
+        # fine, coarse and trivial PVMs, written from a stack and from a list of blocks
+        for groups in (None, [2, 1, 3], [6]):
+            pvm = sample_pvm(5, 6, groups)
+            p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
+            write_pvm(p1, pvm)
+            loaded, _ = reports.load_matrix_file(str(p1), "pvm")
+            assert np.array_equal(loaded.blocks, pvm.blocks)
+            assert loaded.non_degenerate == (groups is None)
+            reports.write_matrix_file(str(p2), "pvm", list(loaded.blocks))
+            assert p1.read_bytes() == p2.read_bytes()
+
+    def test_pvm_needs_a_stack_of_blocks(self, tmp_path):
+        with pytest.raises(DimensionMismatchError, match=r"\(k, d, d\)"):
+            reports.write_matrix_file(str(tmp_path / "p.json"), "pvm", np.eye(2))
 
 
 @pytest.fixture
@@ -533,14 +617,37 @@ class TestCollectorPause:
 class TestStableJson:
     def test_sorted_keys_and_float_format(self):
         out = reports.dumps_stable({"b": 0.1, "a": 2.0, "c": [1, True, None]})
-        assert out == '{"a":2.0,"b":0.10000000000000001,"c":[1,true,null]}'
+        assert out == '{"a":2.0,"b":0.1,"c":[1,true,null]}'
 
     def test_complex_as_pair(self):
         assert reports.dumps_stable(1 - 2j) == "[1.0,-2.0]"
 
+    def test_integral_floats_stay_floats(self):
+        out = reports.dumps_stable([1e16, -5e16, 1e17, 2.0**53, -0.0])
+        assert out == "[1e+16,-5e+16,1e+17,9007199254740992.0,-0.0]"
+
     def test_rejects_nan(self):
         with pytest.raises(ValueError):
             reports.dumps_stable(float("nan"))
+
+    @pytest.mark.parametrize(
+        "value", [float("inf"), -float("inf"), [1.0, {"x": float("inf")}],
+                  complex(0, float("nan")), np.float64("-inf"), np.array([1.0, np.nan])]
+    )
+    def test_rejects_non_finite_anywhere(self, value):
+        with pytest.raises(ValueError):
+            reports.dumps_stable(value)
+
+    @pytest.mark.parametrize("value", [object(), {1, 2}, b"x", [np.datetime64("2020-01-01")]])
+    def test_rejects_unknown_types(self, value):
+        with pytest.raises(TypeError):
+            reports.dumps_stable(value)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_JSON_VALUES)
+    def test_parses_to_the_plain_form(self, value):
+        parsed = json.loads(reports.dumps_stable(value))
+        assert_same_plain(parsed, _plain(value))
 
     def test_round_trips_through_standard_parser(self):
         doc = {"x": [1.25, -3.5e-17], "y": {"z": 0.3333333333333333}}

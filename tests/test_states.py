@@ -53,6 +53,20 @@ class TestDensityMatrix:
         with pytest.raises(qs.ValidationError, match="non-finite"):
             qs.DensityMatrix(np.diag([entry, 0.5]))
 
+    @pytest.mark.parametrize(
+        "vec", [[np.nan, 1.0], [np.inf, 1.0], [1.0, -np.inf], [1.0, complex(0, np.nan)],
+                [0.0, 0.0], [0j, 0j, 0j]]
+    )
+    def test_pure_rejects_non_finite_entries_and_the_zero_vector(self, vec):
+        with pytest.raises(qs.ValidationError, match="zero or has non-finite entries"):
+            qs.DensityMatrix.pure(vec)
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e-170, 1e155, 1e300])
+    def test_pure_of_tiny_or_huge_vectors(self, scale):
+        # their squared norms underflow to 0 or overflow to inf
+        rho = qs.DensityMatrix.pure(np.array([3.0, 4j]) * scale)
+        assert np.allclose(rho.mat, [[0.36, -0.48j], [0.48j, 0.64]], rtol=0, atol=1e-15)
+
 
 class TestStacks:
     @pytest.mark.parametrize("dims", [(2, 3), (3, 2), (4, 4)])
@@ -90,6 +104,11 @@ class TestPvm:
     def test_rejects_non_finite_or_oversized_block(self, entry):
         with pytest.raises(qs.ValidationError, match="non-finite"):
             qs.Pvm([np.diag([entry, 0.0]), np.diag([0.0, 1.0])])
+
+    def test_rejects_nearly_orthogonal_blocks(self, nearly_orthogonal_blocks):
+        # the products B_0 B_1 reach 1.03e-9, the only check of the four to fail
+        with pytest.raises(qs.ValidationError, match="^blocks 0,1 not orthogonal$"):
+            qs.Pvm(nearly_orthogonal_blocks)
 
     def test_names_the_first_failing_block(self):
         with pytest.raises(qs.ValidationError, match="block 1 not idempotent"):
