@@ -118,8 +118,13 @@ def write_matrix_file(path: str, kind: str, matrix, dims=None) -> None:
         if blocks.ndim != 3:
             raise la.DimensionMismatchError(f"expected (k, d, d) PVM blocks, got shape {blocks.shape}")
         doc["blocks"] = matrix_to_pairs(blocks)
+    elif kind == "vector":
+        vec = np.asarray(matrix, dtype=complex)
+        if vec.ndim != 1:
+            raise la.DimensionMismatchError(f"expected a 1-D vector, got shape {vec.shape}")
+        doc["matrix"] = matrix_to_pairs(vec)
     else:
-        doc["matrix"] = matrix_to_pairs(np.ravel(matrix) if kind == "vector" else la.as_matrix(matrix))
+        doc["matrix"] = matrix_to_pairs(la.as_matrix(matrix))
     with open(path, "w") as fh:
         fh.write(dumps_stable(doc))
         fh.write("\n")

@@ -574,6 +574,13 @@ class TestMatrixFileRoundTrip:
         with pytest.raises(DimensionMismatchError, match=r"\(k, d, d\)"):
             reports.write_matrix_file(str(tmp_path / "p.json"), "pvm", np.eye(2))
 
+    @pytest.mark.parametrize("shape", [(2, 2), (2, 1), ()])
+    def test_vector_needs_one_axis(self, tmp_path, shape):
+        path = tmp_path / "v.json"
+        with pytest.raises(DimensionMismatchError, match=r"1-D vector"):
+            reports.write_matrix_file(str(path), "vector", np.ones(shape))
+        assert not path.exists()
+
 
 @pytest.fixture
 def restore_gc():

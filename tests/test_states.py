@@ -240,9 +240,152 @@ class TestOrthogonalityScan:
         monkeypatch.setattr(la, "_usable_cpus", lambda: 2)
         qs.Pvm(list(sample_pvm(1, 8).blocks))  # the 8-outcome PVM of a sample run
         qs.Pvm(list(sample_pvm(1, 64, [32, 32]).blocks))
+        # a fine d = 32 PVM is certified, so Pvm does not reach the scan's split
+        fine = sample_pvm(1, 32).blocks
+        qs.Pvm(list(fine))
         assert started_threads == []
-        qs.Pvm(list(sample_pvm(1, 32).blocks))
+        assert qs._first_overlap(fine) is None
         assert len(started_threads) == 1
+
+
+def perturbed_projectors(dim, groups, eps, seed):
+    """Blocks U_i U_i^dagger of the column groups of U + eps G, U Haar and G Gaussian."""
+    rng = np.random.default_rng(seed)
+    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    basis = sample_unitary(dim, dim, seed) + eps * g
+    edges = np.cumsum([0, *groups])
+    return np.stack([basis[:, a:b] @ basis[:, a:b].conj().T for a, b in zip(edges, edges[1:])])
+
+
+def embedded_nearly_orthogonal(pair, dim, at):
+    """The two blocks of pair in the top-left corner of dim x dim blocks, placed at
+    indices at, and the projectors onto e_2 .. e_{dim-1} in the other places."""
+    rest = [np.diag(np.eye(dim)[m]).astype(complex) for m in range(2, dim)]
+    for i, b in sorted(zip(at, pair)):
+        big = np.zeros((dim, dim), dtype=complex)
+        big[:2, :2] = b
+        rest.insert(i, big)
+    return np.stack(rest)
+
+
+def pvm_outcome(blocks):
+    """What Pvm(blocks) gives: its blocks and flag, or its exception's type and message."""
+    try:
+        pvm = qs.Pvm(blocks)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return pvm.blocks.tobytes(), pvm.non_degenerate
+
+
+@pytest.fixture
+def scans(monkeypatch):
+    """List of the stacks that reach Pvm's pairwise scan."""
+    calls = []
+    scan = qs._first_overlap
+
+    def spy(blocks):
+        calls.append(blocks)
+        return scan(blocks)
+
+    monkeypatch.setattr(qs, "_first_overlap", spy)
+    return calls
+
+
+def fine_or_coarse(dim, fine):
+    return [1] * dim if fine else [2] * (dim // 2) + [1] * (dim % 2)
+
+
+class TestOrthogonalityCertificate:
+    """Pvm's one-eigensolve certificate never changes what Pvm accepts or raises."""
+
+    @pytest.mark.parametrize("dim", [2, 3, 5, 8, 13, 16, 24, 32, 64])
+    @pytest.mark.parametrize("fine", [True, False])
+    def test_same_outcome_without_the_certificate(self, monkeypatch, dim, fine):
+        outcomes = set()
+        for t, eps in enumerate(10.0 ** np.linspace(-12, -8, 9)):
+            blocks = perturbed_projectors(dim, fine_or_coarse(dim, fine), eps, t)
+            with_certificate = pvm_outcome(blocks)
+            with monkeypatch.context() as m:
+                m.setattr(qs, "_certified_orthogonal", lambda blocks: False)
+                assert pvm_outcome(blocks) == with_certificate
+            outcomes.add(isinstance(with_certificate[0], bytes))
+        assert outcomes == {True, False}
+
+    @pytest.mark.parametrize("at", [(0, 1), (5, 11), (15, 2)])
+    def test_same_error_for_blocks_that_fail_only_orthogonality(
+        self, monkeypatch, nearly_orthogonal_blocks, at
+    ):
+        blocks = embedded_nearly_orthogonal(nearly_orthogonal_blocks, 16, at)
+        assert not qs._certified_orthogonal(blocks)
+        message = "^blocks {},{} not orthogonal$".format(*sorted(at))
+        with pytest.raises(qs.ValidationError, match=message):
+            qs.Pvm(blocks)
+        monkeypatch.setattr(qs, "_certified_orthogonal", lambda blocks: False)
+        with pytest.raises(qs.ValidationError, match=message):
+            qs.Pvm(blocks)
+
+    @pytest.mark.parametrize("pairs", [[], [(0, 19)], [(10, 11), (4, 5), (3, 17)]])
+    def test_same_error_for_planted_overlaps(self, monkeypatch, pairs):
+        blocks = planted_overlaps(20, pairs)
+        with_certificate = pvm_outcome(blocks)
+        monkeypatch.setattr(qs, "_certified_orthogonal", lambda blocks: False)
+        assert pvm_outcome(blocks) == with_certificate
+
+    @pytest.mark.parametrize("tol", [1e-11, 1e-10, 1e-9])
+    @pytest.mark.parametrize("dim", [13, 24, 64])
+    def test_accepts_only_what_the_scan_accepts(self, monkeypatch, dim, tol):
+        # also at tolerances below the PVM one, down to near the rounding margin, which
+        # is about 2e-12 at d = 64
+        monkeypatch.setattr(qs, "HERMITICITY_TOL", tol)
+        monkeypatch.setattr(la, "HERMITICITY_TOL", tol)
+        certified = overlapping = 0
+        for t, eps in enumerate(10.0 ** np.linspace(-16, -6, 11)):
+            for fine in (True, False):
+                blocks = perturbed_projectors(dim, fine_or_coarse(dim, fine), eps, t)
+                overlap = serial_first_overlap(blocks)
+                if qs._certified_orthogonal(blocks):
+                    certified += 1
+                    assert overlap is None
+                overlapping += overlap is not None
+        assert certified > 0 and overlapping > 0
+
+    def test_zero_block_reaches_the_scan(self, scans):
+        blocks = np.concatenate([sample_pvm(2, 16).blocks, np.zeros((1, 16, 16))])
+        assert not qs._certified_orthogonal(blocks)
+        qs.Pvm(blocks)
+        assert len(scans) == 1
+
+    @pytest.mark.parametrize("spectrum", [
+        None,  # eigh raises
+        lambda lam, v: (lam + 0.4, v),  # eigenvalues far from integers
+        lambda lam, v: (lam - 1, v),  # a label below 0
+        lambda lam, v: (lam, v[:, ::-1]),  # the columns in the wrong groups
+    ])
+    def test_failed_or_mis_grouped_spectrum_reaches_the_scan(self, monkeypatch, scans, spectrum):
+        blocks = sample_pvm(3, 16).blocks
+        eigh = np.linalg.eigh
+
+        def patched(h):
+            if spectrum is None:
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return spectrum(*eigh(h))
+
+        monkeypatch.setattr(np.linalg, "eigh", patched)
+        assert not qs._certified_orthogonal(blocks)
+        assert qs.Pvm(blocks).non_degenerate
+        assert len(scans) == 1
+
+    def test_below_the_crossover_the_scan_runs(self, scans):
+        k = max(k for k in range(2, 64) if k * (k - 1) // 2 < qs.CERTIFY_MIN_PAIRS)
+        qs.Pvm(sample_pvm(4, 16, [1] * (k - 1) + [17 - k]).blocks)
+        assert len(scans) == 1
+        qs.Pvm(sample_pvm(4, 16, [1] * k + [16 - k]).blocks)
+        assert len(scans) == 1
+
+    @pytest.mark.parametrize("dim", [32, 64])
+    def test_fine_pvms_never_reach_the_scan(self, scans, dim):
+        qs.Pvm(sample_pvm(dim, dim).blocks)
+        assert scans == []
 
 
 class TestPurityEntropy:
