@@ -25,6 +25,8 @@ class UnitalChannel:
         kraus_ops = [la.as_matrix(k) for k in kraus_ops]
         if not kraus_ops:
             raise ValidationError("channel needs at least one Kraus operator")
+        if any(m.shape != kraus_ops[0].shape for m in kraus_ops):
+            raise DimensionMismatchError("Kraus operators of mixed dimension")
         k = np.stack(kraus_ops)
         if not np.isfinite(k).all():
             raise ValidationError("Kraus operators have non-finite entries")
@@ -49,6 +51,8 @@ class Povm:
         effects = [la.as_matrix(e) for e in effects]
         if not effects:
             raise ValidationError("POVM needs at least one effect")
+        if any(m.shape != effects[0].shape for m in effects):
+            raise DimensionMismatchError("POVM effects of mixed dimension")
         e = np.stack(effects)
         if not np.isfinite(e).all():
             raise ValidationError("POVM effects have non-finite entries")

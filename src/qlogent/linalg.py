@@ -10,8 +10,6 @@ reports must be byte-identical across thread settings.
 from __future__ import annotations
 
 import math
-import os
-import threading
 from typing import NamedTuple
 
 import numpy as np
@@ -175,40 +173,3 @@ def is_unitary(u: np.ndarray, tol: float = HERMITICITY_TOL) -> bool:
     with np.errstate(over="ignore", invalid="ignore"):
         eta = float(np.linalg.norm(dagger(u) @ u - np.eye(u.shape[0])))
     return eta * (1.0 + eta) <= tol
-
-
-def _usable_cpus() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _split_over_cpus(task, most: int) -> list:
-    """[task(w, n) for w in range(n)] for n = min(usable CPUs, most), at least 1.
-
-    Task 0 runs on the calling thread and each other task on a thread of its
-    own; numpy's kernels release the GIL, so the tasks overlap. An exception
-    from any task is re-raised on the caller. Tasks must call no public
-    qlogent function: perfbench's tracer rebinds those and keeps one span
-    stack per process. Being private, this helper leaves its time in its
-    caller's traced layer.
-    """
-    workers = max(1, min(_usable_cpus(), most))
-    out: list = [None] * workers
-
-    def run(w: int) -> None:
-        try:
-            out[w] = task(w, workers)
-        except Exception as exc:  # re-raised on the calling thread
-            out[w] = exc
-
-    threads = [threading.Thread(target=run, args=(w,)) for w in range(1, workers)]
-    for t in threads:
-        t.start()
-    run(0)
-    for t in threads:
-        t.join()
-    for r in out:
-        if isinstance(r, Exception):
-            raise r
-    return out

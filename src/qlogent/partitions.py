@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
-from .linalg import _split_over_cpus
 from .sampling import rng_for
 
 PROB_SUM_TOL = 1e-9
@@ -177,3 +178,40 @@ def two_draw_distinction_mc(p, trials: int, seed: int) -> float:
     if trials < 1:
         raise ValueError("trials must be >= 1")
     return distinct_pair_fraction(p / np.sum(p), trials, rng_for(seed, 0x7061))
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _split_over_cpus(task, most: int) -> list:
+    """[task(w, n) for w in range(n)] for n = min(usable CPUs, most), at least 1.
+
+    Task 0 runs on the calling thread and each other task on a thread of its
+    own; numpy's kernels release the GIL, so the tasks overlap. An exception
+    from any task is re-raised on the caller. Tasks must call no public
+    qlogent function: perfbench's tracer rebinds those and keeps one span
+    stack per process. Being private, this helper leaves its time in its
+    caller's traced layer.
+    """
+    workers = max(1, min(_usable_cpus(), most))
+    out: list = [None] * workers
+
+    def run(w: int) -> None:
+        try:
+            out[w] = task(w, workers)
+        except Exception as exc:  # re-raised on the calling thread
+            out[w] = exc
+
+    threads = [threading.Thread(target=run, args=(w,)) for w in range(1, workers)]
+    for t in threads:
+        t.start()
+    run(0)
+    for t in threads:
+        t.join()
+    for r in out:
+        if isinstance(r, Exception):
+            raise r
+    return out

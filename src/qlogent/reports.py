@@ -123,8 +123,10 @@ def write_matrix_file(path: str, kind: str, matrix, dims=None) -> None:
         if vec.ndim != 1:
             raise la.DimensionMismatchError(f"expected a 1-D vector, got shape {vec.shape}")
         doc["matrix"] = matrix_to_pairs(vec)
-    else:
+    elif kind == "density":
         doc["matrix"] = matrix_to_pairs(la.as_matrix(matrix))
+    else:
+        raise ValueError(f"kind must be 'density', 'vector' or 'pvm', got {kind!r}")
     with open(path, "w") as fh:
         fh.write(dumps_stable(doc))
         fh.write("\n")

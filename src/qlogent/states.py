@@ -22,12 +22,6 @@ from .linalg import (
 
 TRACE_TOL = 1e-9
 OUTCOME_EPS = 1e-12
-# The orthogonality scan of Pvm.__init__ multiplies one block by at most this many
-# entries of others at a time (8 blocks at d = 64), so each worker's temporaries stay
-# at 0.5 MB. It gives no CPU fewer multiply-adds (pairs x d^3) than PAIR_MIN_SHARE: on a
-# 2-vCPU box, two threads lost on a fine PVM at d = 24 (3.8M in all) and won at d = 32 (16M).
-PAIR_CHUNK_ENTRIES = 1 << 15
-PAIR_MIN_SHARE = 1 << 22
 # Pvm.__init__ certifies orthogonality with one eigensolve (_certified_orthogonal) only
 # from this many pairs k(k-1)/2 on. In-process on a 2-vCPU box, one BLAS thread, scan vs
 # certificate: it lost at 28-45 pairs below d = 16 (fine d = 8: 0.12 vs 0.16 ms), tied at
@@ -137,22 +131,13 @@ def _max_abs(m: np.ndarray) -> np.ndarray:
 
 def _first_overlap(blocks: np.ndarray) -> tuple[int, int] | None:
     """The first pair (i, j), i < j, in row-major order whose product B_i B_j has an entry
-    above HERMITICITY_TOL, or None. Rows i go round-robin to the usable CPUs, but no CPU
-    gets fewer than PAIR_MIN_SHARE multiply-adds; each worker scans its rows in order and
-    stops at its first overlap, so the earliest of theirs is the first of all."""
-    k, dim = blocks.shape[:2]
-    chunk = max(1, PAIR_CHUNK_ENTRIES // dim**2)
-
-    def scan(w: int, workers: int) -> tuple[int, int] | None:
-        for i in range(w, k - 1, workers):
-            for j in range(i + 1, k, chunk):
-                bad = _max_abs(blocks[i] @ blocks[j : j + chunk]) > HERMITICITY_TOL
-                if bad.any():
-                    return i, j + int(np.argmax(bad))
-        return None
-
-    found = la._split_over_cpus(scan, k * (k - 1) // 2 * dim**3 // PAIR_MIN_SHARE)
-    return min((f for f in found if f is not None), default=None)
+    above HERMITICITY_TOL, or None. One matmul per row, so each temporary holds at most
+    (k - 1) d^2 entries, fewer than the blocks themselves."""
+    for i in range(len(blocks) - 1):
+        bad = _max_abs(blocks[i] @ blocks[i + 1 :]) > HERMITICITY_TOL
+        if bad.any():
+            return i, i + 1 + int(np.argmax(bad))
+    return None
 
 
 def _certified_orthogonal(blocks: np.ndarray) -> bool:

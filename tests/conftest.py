@@ -3,12 +3,12 @@ import threading
 import numpy as np
 import pytest
 
-from qlogent import linalg as la
+from qlogent import partitions as pt
 
 
 @pytest.fixture
 def started_threads(monkeypatch):
-    """List that collects every thread the CPU split (linalg._split_over_cpus) starts."""
+    """List that collects every thread the CPU split (partitions._split_over_cpus) starts."""
     started = []
 
     class CountingThread(threading.Thread):
@@ -16,7 +16,7 @@ def started_threads(monkeypatch):
             started.append(self)
             super().start()
 
-    monkeypatch.setattr(la.threading, "Thread", CountingThread)
+    monkeypatch.setattr(pt.threading, "Thread", CountingThread)
     return started
 
 

@@ -332,6 +332,17 @@ class TestNonFiniteOperators:
             ch.Povm([effect, np.eye(2) - np.diag([0.5, 1.0])])
 
 
+class TestMixedDimensionOperators:
+    @pytest.mark.parametrize("make, what", [
+        (ch.UnitalChannel, "Kraus operators"),
+        (ch.Povm, "POVM effects"),
+        (qs.Pvm, "PVM blocks"),
+    ])
+    def test_raises_dimension_mismatch(self, make, what):
+        with pytest.raises(la.DimensionMismatchError, match=f"^{what} of mixed dimension$"):
+            make([np.eye(2) / 2, np.eye(3) / 2])
+
+
 class TestTwirl:
     def test_product_state(self):
         rho_a = sample_density(0, 2)

@@ -581,6 +581,13 @@ class TestMatrixFileRoundTrip:
             reports.write_matrix_file(str(path), "vector", np.ones(shape))
         assert not path.exists()
 
+    @pytest.mark.parametrize("kind", ["densty", "Density", "matrix"])
+    def test_unknown_kind_writes_no_file(self, tmp_path, kind):
+        path = tmp_path / "m.json"
+        with pytest.raises(ValueError, match=r"^kind must be 'density', 'vector' or 'pvm'"):
+            reports.write_matrix_file(str(path), kind, np.eye(2) / 2)
+        assert not path.exists()
+
 
 @pytest.fixture
 def restore_gc():

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qlogent import linalg as la
 from qlogent import partitions as pt
 from qlogent.sampling import rng_for
 
@@ -271,14 +270,14 @@ class TestWorkerSplit:
         self, monkeypatch, started_threads, cpus, k, trials
     ):
         # shares start at n * w // cpus, so sub-stream offsets hit every residue mod 4
-        monkeypatch.setattr(la, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(pt, "_usable_cpus", lambda: cpus)
         got = pt.distinct_pair_fraction(probabilities(k), trials, rng_for(7, k))
         assert got == cached_choice_reference(k, trials)
         assert len(started_threads) == (cpus - 1 if trials >= pt.MC_CHUNK else 0)
 
     @pytest.mark.parametrize("trials", [2 * pt.MC_MIN_SHARE - 1, 2 * pt.MC_MIN_SHARE])
     def test_no_thread_below_the_minimum_share(self, monkeypatch, started_threads, trials):
-        monkeypatch.setattr(la, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(pt, "_usable_cpus", lambda: 2)
         pt.distinct_pair_fraction(probabilities(8), trials, rng_for(7, 8))
         assert len(started_threads) == trials // pt.MC_MIN_SHARE - 1
 
@@ -291,7 +290,7 @@ class TestWorkerSplit:
                 pt.distinct_pair_fraction(p, 10, rng)
 
     def test_worker_error_reaches_the_caller(self, monkeypatch):
-        monkeypatch.setattr(la, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(pt, "_usable_cpus", lambda: 2)
         real = pt._count_distinct
 
         def failing(cdf, u, draws, mask):

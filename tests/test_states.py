@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from qlogent import linalg as la
+from qlogent import partitions as pt
 from qlogent import states as qs
 from qlogent.partitions import distribution_logical_entropy
 from qlogent.sampling import sample_densities, sample_density, sample_pvm, sample_unitary
@@ -185,7 +186,7 @@ class TestPvm:
 
 
 def serial_first_overlap(blocks):
-    """The pairwise loop that _first_overlap splits, as it ran on one thread."""
+    """The pairwise loop of _first_overlap, kept as the reference for its tests."""
     for i in range(len(blocks) - 1):
         bad = qs._max_abs(blocks[i] @ blocks[i + 1:]) > la.HERMITICITY_TOL
         if bad.any():
@@ -204,48 +205,39 @@ def planted_overlaps(k, pairs):
 
 
 class TestOrthogonalityScan:
-    """Pvm's pairwise scan names the serial loop's first overlap however its rows are split."""
+    """Pvm's pairwise scan names the first overlap in row-major order, on the calling thread,
+    whatever number of CPUs the process may use."""
 
     @pytest.mark.parametrize("pairs", [
         [],
         [(0, 19)],
         [(18, 19)],
-        # for 2, 3 and 5 CPUs, rows 4 and 10 are not both on row 3's worker, so
-        # another worker also finds an overlap, in a later row
+        # overlaps in later rows too; the scan stops at row 3's
         [(10, 11), (4, 5), (3, 17)],
-        # two overlaps in the first failing row, in different chunks of 3
+        # two overlaps in the first failing row
         [(7, 8), (6, 18), (6, 9)],
     ])
-    @pytest.mark.parametrize("chunk_blocks", [3, None])
+    # blocks zero-padded to d = 23, or left at d = k = 20, so that a scan mixing up the
+    # block axis with a matrix axis fails
+    @pytest.mark.parametrize("pad", [3, None])
     @pytest.mark.parametrize("cpus", [1, 2, 3, 5])
-    def test_first_overlap_for_any_cpu_count(
-        self, monkeypatch, started_threads, cpus, chunk_blocks, pairs
-    ):
+    def test_first_overlap_for_any_cpu_count(self, monkeypatch, started_threads, cpus, pad, pairs):
         blocks = planted_overlaps(20, pairs)
-        monkeypatch.setattr(la, "_usable_cpus", lambda: cpus)
-        monkeypatch.setattr(qs, "PAIR_MIN_SHARE", 1)
-        if chunk_blocks:
-            monkeypatch.setattr(qs, "PAIR_CHUNK_ENTRIES", chunk_blocks * 20 * 20)
+        if pad:
+            blocks = np.pad(blocks, ((0, 0), (0, pad), (0, pad)))
+        monkeypatch.setattr(pt, "_usable_cpus", lambda: cpus)
         assert qs._first_overlap(blocks) == serial_first_overlap(blocks)
         assert serial_first_overlap(blocks) == min(pairs, default=None)
-        assert len(started_threads) == cpus - 1
-
-    def test_split_over_the_usable_cpus(self, started_threads):
-        # 32 blocks of d = 32 hold three PAIR_MIN_SHARE shares
-        blocks = planted_overlaps(32, [(9, 30), (8, 31)])
-        assert qs._first_overlap(blocks) == (8, 31)
-        assert len(started_threads) == min(la._usable_cpus(), 3) - 1
+        assert started_threads == []
 
     def test_no_thread_for_small_pvms(self, monkeypatch, started_threads):
-        monkeypatch.setattr(la, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(pt, "_usable_cpus", lambda: 2)
         qs.Pvm(list(sample_pvm(1, 8).blocks))  # the 8-outcome PVM of a sample run
         qs.Pvm(list(sample_pvm(1, 64, [32, 32]).blocks))
-        # a fine d = 32 PVM is certified, so Pvm does not reach the scan's split
         fine = sample_pvm(1, 32).blocks
         qs.Pvm(list(fine))
-        assert started_threads == []
         assert qs._first_overlap(fine) is None
-        assert len(started_threads) == 1
+        assert started_threads == []
 
 
 def perturbed_projectors(dim, groups, eps, seed):
