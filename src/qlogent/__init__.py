@@ -3,22 +3,10 @@
 # set before the submodule imports: reports reads it while the package loads
 __version__ = "0.1.0"
 
-from .channels import (
-    InteractionBlocks,
-    Povm,
-    UnitalChannel,
-    apply_channel,
-    interaction_blocks,
-    povm_unital_implementation,
-    prop6_bounds,
-    purify,
-    schmidt_decompose,
-    twirl_subsystem,
-)
+from .channels import InteractionBlocks, interaction_blocks, prop6_bounds
 from .linalg import (
     HermitianEigenSystem,
     hermitian_eig,
-    majorizes,
     psd_sqrt,
     tensor_product,
 )

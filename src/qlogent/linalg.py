@@ -153,19 +153,6 @@ def psd_sqrt(m: np.ndarray) -> np.ndarray:
     return (vectors * np.sqrt(values)) @ vectors.conj().T
 
 
-def majorizes(y: np.ndarray, x: np.ndarray, slack: float = 1e-12) -> bool:
-    """True iff sorted prefix sums of y dominate those of x (equal totals)."""
-    y = np.asarray(y, dtype=float)
-    x = np.asarray(x, dtype=float)
-    if y.shape != x.shape or y.ndim != 1:
-        raise DimensionMismatchError("majorizes requires equal-length vectors")
-    if abs(float(np.sum(y) - np.sum(x))) > 1e-9:
-        raise ValueError("majorizes requires equal sums within 1e-9")
-    ys = np.cumsum(np.sort(y)[::-1])
-    xs = np.cumsum(np.sort(x)[::-1])
-    return bool(np.all(xs <= ys + slack))
-
-
 def is_unitary(u: np.ndarray, tol: float = HERMITICITY_TOL) -> bool:
     """True iff eta (1 + eta) <= tol for eta = ||U^dag U - I||_F, which bounds every entry
     of U U^dag - I, P_i^2 - P_i and P_i P_j for projectors P_i onto disjoint column groups."""

@@ -6,7 +6,7 @@ import numpy as np
 
 from . import linalg as la
 from .linalg import EQ_TOL, DimensionMismatchError
-from .states import Pvm, ValidationError
+from .states import TRACE_TOL, Pvm, ValidationError
 
 OVERLAP_EPS = 1e-12
 
@@ -45,10 +45,10 @@ def _unit_vector(v, name: str) -> np.ndarray:
         raise ValidationError(f"{name} vector has non-finite entries")
     with np.errstate(over="ignore"):  # entries near the float limit give norm inf
         n = np.linalg.norm(v)
-    if abs(n - 1.0) > 1e-9:
+    if abs(n - 1.0) > TRACE_TOL:
         if n == 0:
             raise ValidationError(f"{name} vector is zero")
-        raise ValidationError(f"{name} vector norm {n} differs from 1 beyond 1e-9")
+        raise ValidationError(f"{name} vector norm {n} differs from 1 beyond {TRACE_TOL:.1e}")
     return v / n
 
 
@@ -60,7 +60,7 @@ class GeneralizedDensity:
     def __init__(self, mat):
         mat = la.as_matrix(mat)
         tr = complex(np.trace(mat))
-        if not (np.isfinite(mat).all() and abs(tr - 1.0) <= 1e-9):
+        if not (np.isfinite(mat).all() and abs(tr - 1.0) <= TRACE_TOL):
             raise ValidationError(f"generalized density has trace {tr} or non-finite entries")
         self.mat = mat
 

@@ -113,15 +113,6 @@ def sample_unital_channels(seed: int, n: int, dim: int, *stream: int):
     return mixing, kraus, sample_unitaries(seed, n, dim, 0xC7, *stream)
 
 
-def sample_unital_channel(seed: int, dim: int, *stream: int):
-    from .channels import UnitalChannel
-    from .states import Pvm
-
-    mixing, kraus, bases = sample_unital_channels(seed, 1, dim, *stream)
-    ops = kraus[0] if mixing[0] else Pvm.from_basis(bases[0]).blocks
-    return UnitalChannel([k for k in ops if k.any()])
-
-
 def sample_orthogonal_support_mixtures(seed: int, n: int, block_dims: list[int], *stream: int):
     """n mixtures whose components are embedded block-diagonally, so supports are orthogonal.
 

@@ -781,6 +781,22 @@ class TestBlasThreadDeterminism:
         assert (code, out) == (4, "")
         assert len(err.splitlines()) == 1 and err.startswith("dimension mismatch: prop 6")
 
+    @pytest.mark.parametrize(
+        "flags",
+        [["--prop", "1a", "--dims", "65", "--trials", "2"], ["--dims", "1500", "--trials", "128"]],
+    )
+    def test_verify_dims_above_the_eigensolver_limit_exit_4_before_any_proposition(
+        self, capsys, monkeypatch, flags
+    ):
+        # at d = 1500 a 128-trial block would allocate 4.3 GiB stacks
+        def run_proposition(pid, cfg):
+            raise AssertionError(f"proposition {pid} ran")
+
+        monkeypatch.setattr(cli, "verify_proposition", run_proposition)
+        code, out, err = run(capsys, ["verify", *flags])
+        assert (code, out) == (4, "")
+        assert err == "dimension mismatch: verify takes dims up to 64, the eigensolver limit\n"
+
     def test_dimension_above_limit_exits_4(self, tmp_path):
         path = tmp_path / "rho_65.json"
         reports.write_matrix_file(str(path), "density", np.eye(65) / 65)

@@ -1,7 +1,5 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from qlogent import linalg as la
 
@@ -267,39 +265,3 @@ class TestIsUnitary:
                     assert np.max(np.abs(u @ u.conj().T - np.eye(dim))) <= 1e-9
         assert not la.is_unitary(np.eye(3) * (1 + 1e-9))
         assert not la.is_unitary(np.array([[1, 1], [0, 1]]))
-
-
-def majorizes_oracle(y, x):
-    ys = np.cumsum(np.sort(y)[::-1])
-    xs = np.cumsum(np.sort(x)[::-1])
-    return bool(np.all(xs <= ys + 1e-12))
-
-
-class TestMajorizes:
-    def test_extreme_vs_uniform(self):
-        assert la.majorizes([1.0, 0.0], [0.5, 0.5])
-
-    def test_prefix_sum_failure(self):
-        assert not la.majorizes([0.5, 0.5], [0.6, 0.4])
-
-    def test_reflexivity(self):
-        assert la.majorizes([0.3, 0.5, 0.2], [0.3, 0.5, 0.2])
-
-    def test_against_brute_force_oracle(self):
-        rng = np.random.default_rng(12)
-        for _ in range(1000):
-            n = int(rng.integers(2, 7))
-            y = rng.dirichlet(np.ones(n))
-            x = rng.dirichlet(np.ones(n))
-            assert la.majorizes(y, x) == majorizes_oracle(y, x)
-
-    def test_sum_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            la.majorizes([1.0, 0.0], [0.6, 0.6])
-
-    @settings(max_examples=200, deadline=None)
-    @given(st.lists(st.floats(0.001, 1.0), min_size=2, max_size=6))
-    def test_uniform_is_majorized_by_anything(self, raw):
-        p = np.array(raw) / sum(raw)
-        uniform = np.full(p.size, 1.0 / p.size)
-        assert la.majorizes(p, uniform)

@@ -13,6 +13,7 @@ from qlogent.sampling import (
     sample_densities,
     sample_density,
     sample_pvm,
+    sample_unital_channels,
     sample_unitaries,
 )
 from qlogent.states import DensityMatrix
@@ -95,6 +96,12 @@ class TestVerifyProposition:
         assert res.to_dict() == rerun.to_dict()
 
 
+def majorization_excess(y, x):
+    """max over k of (sum of the k largest x) - (sum of the k largest y); y majorizes x iff <= 0."""
+    ys, xs = np.sort(y)[::-1], np.sort(x)[::-1]
+    return max(sum(xs[:k]) - sum(ys[:k]) for k in range(1, len(x) + 1))
+
+
 class TestBlocks:
     @pytest.mark.parametrize("prop_id", pr.PROPOSITION_IDS)
     def test_first_trials_do_not_depend_on_block_length(self, prop_id):
@@ -138,6 +145,34 @@ class TestBlocks:
                     - qs.logical_entropy(rho.reduced("B"))
                 )
                 assert v[t] == pytest.approx(expected, abs=1e-14)
+
+    @pytest.mark.parametrize("dim", [2, 3, 5])
+    def test_prop5_matches_per_trial_channels(self, monkeypatch, dim):
+        # channel t is a Kraus sum if mixing[t], else a dephasing in the columns of bases[t];
+        # the violations sit at rounding level, so the spy also checks each channel output
+        entropy, seen = qs.logical_entropy, []
+
+        def spy(rho):
+            seen.append(rho.mat)
+            return entropy(rho)
+
+        monkeypatch.setattr(qs, "logical_entropy", spy)
+        tag = int.from_bytes(b"5", "big")
+        v = pr.block_violations("5", 8, dim, 0, 24)
+        states = sample_densities(8, 24, dim, None, 0, tag, 0)
+        mixing, kraus, bases = sample_unital_channels(8, 24, dim, 1, tag, 0)
+        assert set(mixing) == {True, False}
+        assert np.array_equal(seen[0], states)
+        for t, rho in enumerate(states):
+            if mixing[t]:
+                out = sum(k @ rho @ k.conj().T for k in kraus[t])
+            else:
+                projectors = [np.outer(u, u.conj()) for u in bases[t].T]
+                out = sum(p @ rho @ p for p in projectors)
+            assert np.max(np.abs(seen[1][t] - out)) <= 1e-14
+            h_in, h_out = (1 - np.trace(m @ m).real for m in (rho, out))
+            excess = majorization_excess(np.linalg.eigvalsh(rho), np.linalg.eigvalsh(out))
+            assert v[t] == pytest.approx(max(h_in - h_out, excess), abs=1e-14)
 
     def test_prop3_matches_per_outcome_sandwich(self):
         tag = int.from_bytes(b"3", "big")

@@ -164,12 +164,9 @@ class TestStreamSplitting:
         assert np.max(np.abs(parts[0, 0] @ parts[0, 1])) <= 1e-12
 
     def test_unital_channel_families(self):
-        kinds = set()
-        for seed in range(20):
-            channel = sp.sample_unital_channel(seed, 2)
-            kinds.add(len(channel.kraus_ops) == 2 and np.allclose(
-                channel.kraus_ops[0] @ channel.kraus_ops[0],
-                channel.kraus_ops[0],
-            ))
-        # both dephasing and unitary-mixture families appear
-        assert kinds == {True, False}
+        mixing, kraus, bases = sp.sample_unital_channels(4, 40, 3)
+        # both unitary-mixture and dephasing families appear
+        assert set(mixing) == {True, False}
+        completeness = np.sum(la.dagger(kraus) @ kraus, axis=1)
+        assert np.max(np.abs(completeness - np.eye(3))) <= 1e-12
+        assert all(la.is_unitary(v) for v in bases)
