@@ -12,7 +12,11 @@ import numpy as np
 from .sampling import rng_for
 
 PROB_SUM_TOL = 1e-9
-MC_CHUNK = 1 << 20  # draw pairs per Monte Carlo chunk; bounds its memory
+MC_CHUNK = 1 << 20  # draw pairs per Monte Carlo chunk; fixes only the draw layout
+# pairs drawn and binned per pass, bounding memory: 1.25 MB of buffers per worker, inside a
+# 2 MiB L2. Speed against whole-chunk buffers (2 threads, 2e6 pairs, 8 outcomes, 40 interleaved
+# calls, 2-vCPU Xeon): 2^13 6% slower, 2^14 3% faster, 2^15 17%, 2^16 20% (won 37/40), 2^17 10%
+MC_TILE = 1 << 16
 MC_COUNTED_OUTCOMES = 64  # up to this many outcomes, bins are counted, not binary-searched
 MC_MIN_SHARE = 1 << 16  # fewest first-chunk pairs per worker thread: the measured break-even
 
@@ -143,7 +147,7 @@ def distinct_pair_fraction(p: np.ndarray, trials: int, rng: np.random.Generator)
 
 def _count_share(cdf: np.ndarray, key, trials: int, w: int, workers: int) -> int:
     """Distinct pairs in share w of every chunk, split evenly into `workers` shares."""
-    size = -(-min(MC_CHUNK, trials) // workers)
+    size = min(MC_TILE, -(-min(MC_CHUNK, trials) // workers))
     u = np.empty((2, size))
     draws = np.empty((2, size), dtype=np.uint8)
     mask = np.empty((2, size), dtype=bool)
@@ -151,11 +155,16 @@ def _count_share(cdf: np.ndarray, key, trials: int, w: int, workers: int) -> int
     for s in range(0, trials, MC_CHUNK):
         n = min(MC_CHUNK, trials - s)
         a, b = n * w // workers, n * (w + 1) // workers
-        for row, draw in enumerate((2 * s + a, 2 * s + n + a)):
+        gens = []
+        for draw in (2 * s + a, 2 * s + n + a):
             bits = np.random.Philox(counter=draw // 4, key=key)
             bits.random_raw(draw % 4)
-            np.random.Generator(bits).random(out=u[row, : b - a])
-        distinct += _count_distinct(cdf, u[:, : b - a], draws[:, : b - a], mask[:, : b - a])
+            gens.append(np.random.Generator(bits))
+        for t in range(a, b, MC_TILE):  # each random() call continues its generator's stream
+            m = min(MC_TILE, b - t)
+            for row, gen in enumerate(gens):
+                gen.random(out=u[row, :m])
+            distinct += _count_distinct(cdf, u[:, :m], draws[:, :m], mask[:, :m])
     return distinct
 
 
@@ -164,8 +173,9 @@ def _count_distinct(cdf: np.ndarray, u: np.ndarray, draws: np.ndarray, mask: np.
     if cdf.size > MC_COUNTED_OUTCOMES:
         outcomes = cdf.searchsorted(u, side="right")
         return int(np.count_nonzero(outcomes[0] != outcomes[1]))
-    draws.fill(0)
-    for c in cdf[:-1]:  # outcome = number of boundaries <= u, as cdf[-1] == 1 > u
+    # outcome = number of boundaries <= u; cdf[-1] == 1 > u, so one outcome gives 0
+    np.greater_equal(u, cdf[0], out=draws.view(bool))
+    for c in cdf[1:-1]:
         np.greater_equal(u, c, out=mask)
         np.add(draws, mask.view(np.uint8), out=draws)
     np.not_equal(draws[0], draws[1], out=mask[0])

@@ -200,8 +200,8 @@ def _check_5(b: _Block) -> np.ndarray:
     out = DensityMatrix.trusted(
         np.where(mixing[:, None, None], la.apply_kraus(kraus, rho.mat), dephased)
     )
-    # input spectrum must majorize the output spectrum
-    prefix = np.cumsum(out.eigenvalues() - rho.eigenvalues(), axis=1)
+    # input spectrum must majorize the output; prefixes k < d, as k = d is tr(out - rho) = 0
+    prefix = np.cumsum(out.eigenvalues() - rho.eigenvalues(), axis=1)[:, :-1]
     return np.maximum(qs.logical_entropy(rho) - qs.logical_entropy(out), np.max(prefix, axis=1))
 
 

@@ -14,6 +14,7 @@ import contextlib
 import copy
 import io
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -63,6 +64,7 @@ def check_run(argv):
         assert out.endswith("\n") and err == "", (argv, err)
     else:
         assert out == "" and len(err.splitlines()) == 1, (argv, err)
+    return code
 
 
 finite = st.floats(-1.0, 1.0)
@@ -202,7 +204,8 @@ def rejected_by(convert):
     ).filter(fails)
 
 
-# trials and dims stay small so each run is short; seeds and tolerances range freely
+# trials and accepted dims stay small so each run is short; dims above the eigensolver
+# limit, refused before any proposition runs, and seeds and tolerances range freely
 trials = st.one_of(st.integers(1, 40), st.integers(-3, 0), rejected_by(int))
 seed = st.one_of(st.integers(-3, 3), st.integers(-2**65, 2**65), rejected_by(int))
 bad_dims = rejected_by(cli._int_list)
@@ -214,7 +217,7 @@ flags = st.one_of(
         ],
         st.lists(st.sampled_from([*PROPOSITION_IDS, "ssa", "all", "99", ""]), min_size=1,
                  max_size=2).map(",".join),
-        st.one_of(joined(st.integers(-2, 4)), bad_dims),
+        st.one_of(joined(st.integers(-2, 4) | st.integers(65, 10**9)), bad_dims),
         trials,
         seed,
         st.one_of(st.floats(), rejected_by(float)),
@@ -233,3 +236,15 @@ flags = st.one_of(
 @given(argv=flags)
 def test_bad_flag_values(good, argv):
     check_run([good.get(word, word) for word in argv])
+
+
+def test_huge_dim_is_refused_before_any_allocation():
+    # one (128, 10^9, 10^9) stack could never be allocated; the dim cap must fire first
+    tracemalloc.start()
+    try:
+        code = check_run(["verify", "--dims", "1000000000", "--trials", "2"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 4
+    assert peak < 1 << 20

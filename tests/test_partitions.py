@@ -1,6 +1,7 @@
 import functools
 import itertools
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -223,10 +224,14 @@ def probabilities(k, zeros=()):
     return w / np.sum(w)
 
 
+# a share's last tile one pair short of, or past, a full tile, and a second chunk's too
+TILE_EDGES = [pt.MC_TILE - 1, pt.MC_TILE + 1, pt.MC_CHUNK + pt.MC_TILE + 3]
+
+
 class TestDrawKernel:
     """distinct_pair_fraction gives the estimates rng.choice's draws give, bit for bit."""
 
-    @pytest.mark.parametrize("trials", [1, pt.MC_CHUNK, pt.MC_CHUNK + 1])
+    @pytest.mark.parametrize("trials", [1, pt.MC_CHUNK, pt.MC_CHUNK + 1, *TILE_EDGES])
     @pytest.mark.parametrize("k", [1, 2, 3, 8, 64, 65, 200])
     def test_matches_choice(self, k, trials):
         p = probabilities(k)
@@ -263,7 +268,9 @@ class TestDrawKernel:
 class TestWorkerSplit:
     """Each chunk split over any number of CPUs gives rng.choice's estimate, bit for bit."""
 
-    @pytest.mark.parametrize("trials", [1, 3, pt.MC_CHUNK + 3, 2 * pt.MC_CHUNK + 5])
+    @pytest.mark.parametrize(
+        "trials", [1, 3, pt.MC_CHUNK + 3, 2 * pt.MC_CHUNK + 5, *TILE_EDGES]
+    )
     @pytest.mark.parametrize("k", [8, 65])
     @pytest.mark.parametrize("cpus", [1, 2, 3, 5])
     def test_matches_choice_for_any_cpu_count(
@@ -301,3 +308,23 @@ class TestWorkerSplit:
         monkeypatch.setattr(pt, "_count_distinct", failing)
         with pytest.raises(MemoryError, match="worker"):
             pt.distinct_pair_fraction(probabilities(8), pt.MC_CHUNK, rng_for(1))
+
+
+class TestMemoryBound:
+    """The Monte Carlo holds one tile of buffers per worker, whatever the trial count."""
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_peak_is_one_tile_per_worker(self, monkeypatch, cpus):
+        # per pair: two float64 uniforms, two uint8 outcomes and two bool masks
+        monkeypatch.setattr(pt, "_usable_cpus", lambda: cpus)
+        p, peaks = probabilities(8), []
+        for trials in (pt.MC_CHUNK + 3, 3 * pt.MC_CHUNK):
+            tracemalloc.start()
+            try:
+                pt.distinct_pair_fraction(p, trials, rng_for(7, 8))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert max(peaks) <= cpus * pt.MC_TILE * 20 + 64 * 1024
+        # the same at both trial counts, up to a few hundred bytes of Python objects
+        assert abs(peaks[1] - peaks[0]) <= 64 * 1024

@@ -97,9 +97,10 @@ class TestVerifyProposition:
 
 
 def majorization_excess(y, x):
-    """max over k of (sum of the k largest x) - (sum of the k largest y); y majorizes x iff <= 0."""
+    """max over k < d of (sum of the k largest x) - (sum of the k largest y); for equal traces,
+    y majorizes x iff <= 0 (k = d compares the traces alone)."""
     ys, xs = np.sort(y)[::-1], np.sort(x)[::-1]
-    return max(sum(xs[:k]) - sum(ys[:k]) for k in range(1, len(x) + 1))
+    return max(sum(xs[:k]) - sum(ys[:k]) for k in range(1, len(x)))
 
 
 class TestBlocks:
@@ -149,7 +150,7 @@ class TestBlocks:
     @pytest.mark.parametrize("dim", [2, 3, 5])
     def test_prop5_matches_per_trial_channels(self, monkeypatch, dim):
         # channel t is a Kraus sum if mixing[t], else a dephasing in the columns of bases[t];
-        # the violations sit at rounding level, so the spy also checks each channel output
+        # the spy also checks each channel output
         entropy, seen = qs.logical_entropy, []
 
         def spy(rho):
@@ -172,6 +173,30 @@ class TestBlocks:
             assert np.max(np.abs(seen[1][t] - out)) <= 1e-14
             h_in, h_out = (1 - np.trace(m @ m).real for m in (rho, out))
             excess = majorization_excess(np.linalg.eigvalsh(rho), np.linalg.eigvalsh(out))
+            assert v[t] == pytest.approx(max(h_in - h_out, excess), abs=1e-14)
+        # unital channels keep a real margin: neither term sits at rounding level
+        assert np.max(v) < -1e-3
+
+    @pytest.mark.parametrize("dim", [2, 3, 5])
+    def test_prop5_flags_a_non_unital_channel(self, monkeypatch, dim):
+        # amplitude damping at gamma = 1 (K_0 = |0><0|, K_i = |0><i|) sends every state to
+        # |0><0|, so the k = 1 prefix margin is 1 - (largest input eigenvalue) > 0 if mixed
+        damp = np.zeros((dim, dim, dim))
+        damp[0, 0, 0] = 1.0
+        damp[1:, 0, 1:] = np.eye(dim - 1)
+
+        def damping(seed, n, d, *stream):
+            eye = np.broadcast_to(np.eye(d), (n, d, d))
+            return np.ones(n, dtype=bool), np.broadcast_to(damp, (n, *damp.shape)), eye
+
+        monkeypatch.setattr(pr.sp, "sample_unital_channels", damping)
+        v = pr.block_violations("5", 8, dim, 0, 12)
+        states = sample_densities(8, 12, dim, None, 0, int.from_bytes(b"5", "big"), 0)
+        for t, rho in enumerate(states):
+            out = sum(k @ rho @ k.T for k in damp)
+            h_in, h_out = (1 - np.trace(m @ m).real for m in (rho, out))
+            excess = majorization_excess(np.linalg.eigvalsh(rho), np.linalg.eigvalsh(out))
+            assert excess > 5e-4
             assert v[t] == pytest.approx(max(h_in - h_out, excess), abs=1e-14)
 
     def test_prop3_matches_per_outcome_sandwich(self):
