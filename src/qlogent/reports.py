@@ -5,6 +5,8 @@ from __future__ import annotations
 import gc
 import hashlib
 import json
+from contextlib import suppress
+from itertools import chain
 
 import numpy as np
 
@@ -30,25 +32,50 @@ _NOT_FINITE = "expected [re, im] pairs of finite numbers"
 
 def pairs_to_array(entries, ndim: int) -> np.ndarray:
     """Complex array with ndim axes from nested lists of [re, im] pairs of finite numbers."""
-    # object dtype keeps the parsed values, so booleans (which numpy would turn
-    # into 0 and 1), strings and nulls can be told apart from numbers
-    a = np.array(entries, dtype=object)
-    if a.ndim != ndim + 1 or a.shape[-1] != 2 or 0 in a.shape:
+    # lists of one length on each level, then ints or floats (numpy would take bools too)
+    shape, flat = [], [entries]
+    while len(shape) <= ndim and set(map(type, flat)) == {list} and len(n := set(map(len, flat))) == 1:
+        shape.append(n.pop())
+        flat = list(chain.from_iterable(flat))
+    if len(shape) == ndim + 1 and shape[-1] == 2 and set(map(type, flat)) <= {int, float}:
+        with suppress(OverflowError):  # an integer beyond the float range
+            if np.isfinite(a := np.array(flat, dtype=float)).all():
+                return a.view(complex).reshape(shape[:-1])
+    # object dtype keeps the parsed values, to tell a wrong shape from a wrong entry
+    if (a := np.array(entries, dtype=object)).ndim != ndim + 1 or a.shape[-1] != 2 or 0 in a.shape:
         name = "vector" if ndim == 1 else "matrix"
         raise ParseError(f"expected a non-empty rectangular {name} of [re, im] pairs")
-    if not set(map(type, a.flat)) <= {int, float}:
-        raise ParseError(_NOT_FINITE)
-    try:
-        a = a.astype(float)
-    except OverflowError:  # an integer beyond the float range
-        raise ParseError(_NOT_FINITE) from None
-    if not np.isfinite(a).all():
-        raise ParseError(_NOT_FINITE)
-    return a.view(complex)[..., 0]
+    raise ParseError(_NOT_FINITE)
 
 
 def _reject_constant(name: str):
     raise ParseError(f"{_NOT_FINITE}, got {name}")
+
+
+def _decode_json(text: str, kind: str):
+    """json.loads(text), except that in a pvm file each item of an array value of the
+    top-level object goes through pairs_to_array as soon as json has read it, so one
+    block's lists are alive at a time; an item that does not decode is kept as read."""
+    decoder = json.JSONDecoder(parse_constant=_reject_constant)
+    scan = decoder.scan_once  # json's own scanner, which makes every grammar decision
+
+    def block(s, idx):
+        item, end = scan(s, idx)
+        with suppress(ParseError):
+            item = pairs_to_array(item, 2)
+        return item, end
+
+    def value(s, idx):
+        return json.decoder.JSONArray((s, idx + 1), block) if s.startswith("[", idx) else scan(s, idx)
+
+    def document(s, idx):
+        if s.startswith("{", idx):
+            return json.decoder.JSONObject((s, idx + 1), True, value, None, None, {})
+        return scan(s, idx)
+
+    if kind == "pvm":
+        decoder.scan_once = document
+    return decoder.decode(text)
 
 
 def load_matrix_file(path: str, kind: str):
@@ -56,10 +83,9 @@ def load_matrix_file(path: str, kind: str):
 
     The object is a validated DensityMatrix, a complex vector or a validated Pvm.
     """
-    # json.loads builds one list per [re, im] pair, 266k for a d = 64 PVM, and
-    # the cyclic collector would rescan them all on every collection it triggers.
-    # JSON trees hold no reference cycles, so pausing it until they are released
-    # leaves no garbage behind.
+    # the cyclic collector would rescan a block's live lists (a d = 64 PVM parses into 266k)
+    # on every collection they trigger; they hold no reference cycles, so pausing it until
+    # the decode ends leaves no garbage behind
     enabled = gc.isenabled()
     gc.disable()
     try:
@@ -77,14 +103,16 @@ def load_matrix_file(path: str, kind: str):
 
 
 def _read_entries(path: str, kind: str):
-    """(decoded arrays, dims or None, info) of a matrix file; the parsed lists die with it."""
+    """(decoded arrays, dims or None, info) of a matrix file."""
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
-        doc = json.loads(raw, parse_constant=_reject_constant)
+        info = {"path": path, "sha256": hashlib.sha256(raw).hexdigest()}
+        text = raw.decode(json.detect_encoding(raw), "surrogatepass")  # as json.loads does
+        del raw  # not kept through the scan
+        doc = _decode_json(text, kind)
     except (OSError, ValueError, RecursionError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
-    info = {"path": path, "sha256": hashlib.sha256(raw).hexdigest()}
     key = "blocks" if kind == "pvm" else "matrix"
     if not isinstance(doc, dict) or doc.get("kind") != kind or key not in doc:
         raise ParseError(f"{path}: expected an object with kind {kind!r} and {key!r}")
@@ -96,14 +124,14 @@ def _read_entries(path: str, kind: str):
             raise ParseError(f"{path}: dims must be a list of positive integers")
         dims = tuple(dims)
     entries = doc.pop(key)
-    del doc, raw  # released before the decode allocates its arrays
+    del doc, text  # released before the decode allocates its arrays
     try:
         if kind != "pvm":
             return pairs_to_array(entries, 1 if kind == "vector" else 2), dims, info
         if not isinstance(entries, list) or not entries:
             raise ParseError("'blocks' must be a non-empty list")
-        # decoded one by one, not stacked, so Pvm can report blocks of mixed dimension
-        return [pairs_to_array(b, 2) for b in entries], dims, info
+        # not stacked, so Pvm can report mixed dimensions; a block kept as read fails here
+        return [b if isinstance(b, np.ndarray) else pairs_to_array(b, 2) for b in entries], dims, info
     except ParseError as exc:
         raise ParseError(f"{path}: {exc}") from None
 

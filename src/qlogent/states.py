@@ -74,9 +74,10 @@ class DensityMatrix:
 
     @classmethod
     def trusted(cls, mat, dims: tuple[int, ...] | None = None) -> "DensityMatrix":
-        """Fast path for a matrix or stack PSD/unit-trace by construction (samplers, channels)."""
+        """Fast path for a complex matrix or stack PSD/unit-trace by construction (samplers,
+        channels); mat is kept as given, unchecked, so it must already be a complex array."""
         rho = cls.__new__(cls)
-        rho.mat = la.as_stack(mat)
+        rho.mat = mat
         rho.dims = None if dims is None else tuple(int(d) for d in dims)
         # math.prod is exact, unlike np.prod; negative dims may still multiply to dim
         if rho.dims is not None and (min(rho.dims, default=1) < 1 or math.prod(rho.dims) != rho.dim):

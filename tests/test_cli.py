@@ -5,6 +5,7 @@ import os
 import struct
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -542,6 +543,173 @@ class TestMalformedInput:
             assert len(err.splitlines()) == 1 and "seed" in err
 
 
+_B0 = "[[[1, 0], [0, 0]], [[0, 0], [0, 0]]]"
+_B1 = "[[[0, 0], [0, 0]], [[0, 0], [1, 0]]]"
+_RAGGED = "[[[0, 0], [0, 0]], [[1, 0]]]"
+_BLOCKS = f"[{_B0}, {_B1}]"
+
+
+def _entry(x: str) -> str:
+    """_B0 with x as the real part of its first entry."""
+    return f"[[[{x}, 0], [0, 0]], [[0, 0], [0, 0]]]"
+
+
+def _pvm(blocks: str, head: str = '"kind": "pvm"') -> bytes:
+    return ("{" + head + ', "blocks": ' + blocks + "}").encode()
+
+
+_FINITE = "parse error: {path}: expected [re, im] pairs of finite numbers\n"
+_RECTANGULAR = "parse error: {path}: expected a non-empty rectangular matrix of [re, im] pairs\n"
+_NOT_A_LIST = "parse error: {path}: 'blocks' must be a non-empty list\n"
+
+# (pvm file bytes, exit code, exact stderr with {path} for the file): the JSON grammar
+# is checked first, then the kind, key and dims, then the blocks in order
+MALFORMED_PVM_FILES = {
+    "blocks_int_then_list": (_pvm(_BLOCKS, '"kind": "pvm", "blocks": 5'), 0, ""),
+    "blocks_list_then_int": (_pvm("5", '"kind": "pvm", "blocks": ' + _BLOCKS), 2, _NOT_A_LIST),
+    "blocks_int": (_pvm("5"), 2, _NOT_A_LIST),
+    "blocks_empty": (_pvm("[]"), 2, _NOT_A_LIST),
+    "blocks_string": (_pvm('"abc"'), 2, _NOT_A_LIST),
+    "blocks_object": (_pvm("{}"), 2, _NOT_A_LIST),
+    "trailing_comma_in_object": (
+        _pvm(_BLOCKS)[:-1] + b",}", 2,
+        "parse error: {path}: Expecting property name enclosed in double quotes: "
+        "line 1 column 104 (char 103)\n",
+    ),
+    "trailing_comma_in_array": (
+        _pvm(f"[{_B0}, {_B1},]"), 2,
+        "parse error: {path}: Expecting value: line 1 column 103 (char 102)\n",
+    ),
+    "missing_comma_between_blocks": (
+        _pvm(f"[{_B0} {_B1}]"), 2,
+        "parse error: {path}: Expecting ',' delimiter: line 1 column 65 (char 64)\n",
+    ),
+    "nan": (
+        _pvm(f"[{_entry('NaN')}, {_B1}]"), 2,
+        "parse error: {path}: expected [re, im] pairs of finite numbers, got NaN\n",
+    ),
+    "1e999": (_pvm(f"[{_entry('1e999')}, {_B1}]"), 2, _FINITE),
+    "true": (_pvm(f"[{_entry('true')}, {_B1}]"), 2, _FINITE),
+    "null": (_pvm(f"[{_entry('null')}, {_B1}]"), 2, _FINITE),
+    "string": (_pvm("[" + _entry('"1"') + f", {_B1}]"), 2, _FINITE),
+    "plus_sign": (
+        _pvm(f"[{_entry('+1')}, {_B1}]"), 2,
+        "parse error: {path}: Expecting value: line 1 column 31 (char 30)\n",
+    ),
+    "leading_dot": (
+        _pvm(f"[{_entry('.5')}, {_B1}]"), 2,
+        "parse error: {path}: Expecting value: line 1 column 31 (char 30)\n",
+    ),
+    "leading_zero": (
+        _pvm(f"[{_entry('01')}, {_B1}]"), 2,
+        "parse error: {path}: Expecting ',' delimiter: line 1 column 32 (char 31)\n",
+    ),
+    "400_digit_int": (_pvm(f"[{_entry('1' + '0' * 399)}, {_B1}]"), 2, _FINITE),
+    "ragged_block": (_pvm(f"[{_B0}, {_RAGGED}]"), 2, _RECTANGULAR),
+    "block_not_a_list": (_pvm(f"[{_B0}, 7]"), 2, _RECTANGULAR),
+    "first_bad_block_wins_finite": (_pvm(f"[{_B0}, {_entry('true')}, {_RAGGED}]"), 2, _FINITE),
+    "first_bad_block_wins_ragged": (_pvm(f"[{_RAGGED}, {_entry('true')}]"), 2, _RECTANGULAR),
+    "bad_block_then_syntax_error": (
+        _pvm(f"[{_entry('true')}, {_B1}]")[:-1] + b', "x": }', 2,
+        "parse error: {path}: Expecting value: line 1 column 113 (char 112)\n",
+    ),
+    "bad_block_then_bad_dims": (
+        _pvm(f"[{_entry('true')}, {_B1}]", '"kind": "pvm", "dims": [0]'), 2,
+        "parse error: {path}: dims must be a list of positive integers\n",
+    ),
+    "density_kind_with_bad_block": (
+        _pvm(f"[{_entry('true')}]", '"kind": "density"'), 2,
+        "parse error: {path}: expected an object with kind 'pvm' and 'blocks'\n",
+    ),
+    "utf16": (_pvm(_BLOCKS).decode().encode("utf-16"), 0, ""),
+    "utf8_bom": (b"\xef\xbb\xbf" + _pvm(_BLOCKS), 0, ""),
+    "invalid_utf8": (
+        _pvm(_BLOCKS).replace(b'"pvm"', b'"p\xffm"'), 2,
+        "parse error: {path}: 'utf-8' codec can't decode byte 0xff in position 11: "
+        "invalid start byte\n",
+    ),
+    "deep_nesting": (
+        _pvm("[" * 100_000 + "]" * 100_000), 2,
+        "parse error: {path}: maximum recursion depth exceeded while decoding a JSON array "
+        "from a unicode string\n",
+    ),
+    "extra_data": (
+        _pvm(_BLOCKS) + b" 5", 2,
+        "parse error: {path}: Extra data: line 1 column 105 (char 104)\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_PVM_FILES))
+def test_malformed_pvm_file(files, capsys, tmp_path, name):
+    data, code, err = MALFORMED_PVM_FILES[name]
+    path = tmp_path / "pvm.json"
+    path.write_bytes(data)
+    got, out, got_err = run(capsys, ["entropy", "--in", files["mixed.json"], "--pvm", str(path)])
+    assert (got, got_err) == (code, err.replace("{path}", str(path)))
+    assert (out != "") == (code == 0)
+
+
+def _object_dtype_decode(entries, ndim):
+    """pairs_to_array as one object-dtype classification of the whole input."""
+    a = np.array(entries, dtype=object)
+    if a.ndim != ndim + 1 or a.shape[-1] != 2 or 0 in a.shape:
+        name = "vector" if ndim == 1 else "matrix"
+        raise reports.ParseError(f"expected a non-empty rectangular {name} of [re, im] pairs")
+    if not set(map(type, a.flat)) <= {int, float}:
+        raise reports.ParseError("expected [re, im] pairs of finite numbers")
+    try:
+        a = a.astype(float)
+    except OverflowError:
+        raise reports.ParseError("expected [re, im] pairs of finite numbers") from None
+    if not np.isfinite(a).all():
+        raise reports.ParseError("expected [re, im] pairs of finite numbers")
+    return a.view(complex)[..., 0]
+
+
+_NUMBERS = st.integers(-3, 3) | st.floats(-2.0, 2.0)
+_ODD_ENTRIES = st.sampled_from(
+    [2**53 + 1, 2**70, 10**400, 1e308, -0.0, 5e-324, float("nan"), float("inf"),
+     True, False, None, "1", [], {}]
+)
+
+
+@st.composite
+def _nested_pairs(draw):
+    """(entries, ndim): a rectangular nest of [re, im] pairs of numbers, or one with a
+    defect: a level too many or too few, a wrong pair length, an empty or ragged list, or
+    an entry that is not a finite number."""
+    ndim = draw(st.sampled_from([1, 2]))
+    defect = draw(st.sampled_from(["none", "none", "levels", "pair", "list", "entry"]))
+    depth = ndim + (draw(st.sampled_from([-1, 1])) if defect == "levels" else 0)
+    shape = draw(st.lists(st.integers(1, 3), min_size=depth, max_size=depth))
+    shape.append(draw(st.sampled_from([0, 1, 3])) if defect == "pair" else 2)
+
+    def build(level):
+        if level == len(shape):
+            odd = defect == "entry" and draw(st.integers(0, 3)) == 0
+            return draw(_ODD_ENTRIES if odd else _NUMBERS)
+        n = shape[level] + (draw(st.sampled_from([0, 0, 0, -1, 1])) if defect == "list" else 0)
+        return [build(level + 1) for _ in range(max(n, 0))]
+
+    return build(0), ndim
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_nested_pairs())
+def test_pairs_to_array_matches_the_object_dtype_classification(case):
+    entries, ndim = case
+    try:
+        expected = _object_dtype_decode(entries, ndim)
+    except reports.ParseError as exc:
+        with pytest.raises(reports.ParseError) as got:
+            reports.pairs_to_array(entries, ndim)
+        assert str(got.value) == str(exc)
+    else:
+        got = reports.pairs_to_array(entries, ndim)
+        assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+
+
 class TestMatrixFileRoundTrip:
     def test_density_bit_identical(self, tmp_path):
         rho = sample_density(77, 4)
@@ -626,6 +794,23 @@ class TestCollectorPause:
         spy("Pvm", reports.Pvm)
         reports.load_matrix_file(files["comp_pvm.json"], "pvm")
         assert seen == [("pairs_to_array", False)] * 2 + [("Pvm", True)]
+
+
+def test_fine_pvm_load_peak_stays_near_the_file_size(tmp_path):
+    # the file's bytes and their decoded text are alive together (2x); the parsed lists of
+    # one block at a time and the decoded blocks stay well under the remaining 0.5x
+    d = 32
+    basis, _ = np.linalg.qr(np.random.default_rng(5).standard_normal((d, d, 2)).view(complex)[..., 0])
+    path = tmp_path / "fine_32.json"
+    reports.write_matrix_file(str(path), "pvm", np.einsum("ik,jk->kij", basis, basis.conj()))
+    tracemalloc.start()
+    try:
+        pvm, _ = reports.load_matrix_file(str(path), "pvm")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert pvm.blocks.shape == (d, d, d)
+    assert peak <= 2.5 * path.stat().st_size, (peak, path.stat().st_size)
 
 
 class TestStableJson:

@@ -91,6 +91,13 @@ class TestStacks:
         with pytest.raises(la.DimensionMismatchError):
             qs.DensityMatrix(sample_densities(1, 3, 2))
 
+    def test_trusted_keeps_the_array_it_is_given(self):
+        # samplers and channels already hand over complex stacks; nothing is re-wrapped
+        stack = sample_densities(3, 4, 6)
+        rho = qs.DensityMatrix.trusted(stack, (2, 3))
+        assert rho.mat is stack
+        assert rho.reduced("B").mat.dtype == complex
+
 
 class TestPvm:
     def test_validation_catches_incomplete(self):
