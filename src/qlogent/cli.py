@@ -39,18 +39,14 @@ EXIT_VERIFY = 5
 EXIT_ORTHOGONAL = 6
 
 
-def cmd_entropy(args) -> dict:
-    rho, rho_info = reports.load_matrix_file(args.infile, "density")
-    inputs = {"rho": rho_info}
+def cmd_entropy(args, rho, pvm=None):
     results = {
         "logical_entropy": logical_entropy(rho),
         "purity": purity(rho),
         "eigenvalues": [float(v) for v in rho.eigenvalues()],
     }
     warnings: list[str] = []
-    if args.pvm is not None:
-        pvm, pvm_info = reports.load_matrix_file(args.pvm, "pvm")
-        inputs["pvm"] = pvm_info
+    if pvm is not None:
         rho_meas = measured_state(rho, pvm)
         results["pvm_logical_entropy"] = pvm_logical_entropy(rho, pvm)
         results["measured_state_entropy"] = logical_entropy(rho_meas)
@@ -67,25 +63,19 @@ def cmd_entropy(args) -> dict:
                 "coarse PVM: entropy computed from outcome probabilities; the "
                 "measured state keeps intra-block coherences"
             )
-    return reports.run_report("entropy", _echo(args), inputs, results, warnings)
+    return results, warnings
 
 
-def cmd_divergence(args) -> dict:
-    rho, a_info = reports.load_matrix_file(args.a_file, "density")
-    sigma, b_info = reports.load_matrix_file(args.b_file, "density")
-    d_hs = logical_divergence(rho, sigma)
+def cmd_divergence(args, rho, sigma):
     results = {
-        "divergence": d_hs,
+        "divergence": logical_divergence(rho, sigma),
         "divergence_definitional": logical_divergence_definitional(rho, sigma),
         "fidelity": fidelity(rho, sigma),
     }
-    return reports.run_report(
-        "divergence", _echo(args), {"rho": a_info, "sigma": b_info}, results
-    )
+    return results, []
 
 
-def cmd_relative(args) -> dict:
-    rho, rho_info = reports.load_matrix_file(args.infile, "density")
+def cmd_relative(args, rho):
     dims = tuple(args.dims or ())
     if rho.dims is not None and len(rho.dims) == 2:
         if dims and dims != rho.dims:
@@ -103,12 +93,10 @@ def cmd_relative(args) -> dict:
             "relative entropy equals minus one times the divergence; a -1/4 "
             "factor does not match numerically"
         )
-    return reports.run_report(
-        "relative", _echo(args), {"rho": rho_info}, report, warnings
-    )
+    return report, warnings
 
 
-def cmd_verify(args) -> tuple[dict, int]:
+def cmd_verify(args):
     known = list(PROPOSITION_IDS) + ["ssa"]
     props = known if list(args.prop) == ["all"] else list(args.prop)
     for i, pid in enumerate(props):
@@ -133,16 +121,10 @@ def cmd_verify(args) -> tuple[dict, int]:
         expected = STATUS_COUNTEREXAMPLE if pid == "ssa" else STATUS_VERIFIED
         if res.status != expected:
             ok = False
-    report = reports.run_report(
-        "verify", _echo(args), {}, results, seed=args.seed
-    )
-    return report, EXIT_OK if ok else EXIT_VERIFY
+    return results, [], EXIT_OK if ok else EXIT_VERIFY
 
 
-def cmd_postselect(args) -> dict:
-    pre, pre_info = reports.load_matrix_file(args.pre, "vector")
-    post, post_info = reports.load_matrix_file(args.post, "vector")
-    pvm, pvm_info = reports.load_matrix_file(args.pvm, "pvm")
+def cmd_postselect(args, pre, post, pvm):
     pair = ps.PrePostPair(pre, post)
     rho = ps.pre_post_state(pair)
     w = ps.weak_values(rho, pvm)
@@ -166,18 +148,10 @@ def cmd_postselect(args) -> dict:
             "agrees": diag["agrees"],
         },
     }
-    return reports.run_report(
-        "postselect",
-        _echo(args),
-        {"pre": pre_info, "post": post_info, "pvm": pvm_info},
-        results,
-        warnings,
-    )
+    return results, warnings
 
 
-def cmd_sample(args) -> dict:
-    rho, rho_info = reports.load_matrix_file(args.infile, "density")
-    pvm, pvm_info = reports.load_matrix_file(args.pvm, "pvm")
+def cmd_sample(args, rho, pvm):
     analytic = pvm_logical_entropy(rho, pvm)
     estimate = two_draw_quantum_mc(rho, pvm, args.trials, args.seed)
     sigma = float(np.sqrt(max(analytic * (1.0 - analytic), 0.0) / args.trials))
@@ -189,18 +163,7 @@ def cmd_sample(args) -> dict:
         "sigma": sigma,
         "z_score": z,
     }
-    return reports.run_report(
-        "sample",
-        _echo(args),
-        {"rho": rho_info, "pvm": pvm_info},
-        results,
-        seed=args.seed,
-    )
-
-
-def _echo(args) -> dict:
-    skip = {"func"}
-    return {k: v for k, v in sorted(vars(args).items()) if k not in skip}
+    return results, []
 
 
 def _int_list(text: str) -> list[int]:
@@ -229,21 +192,26 @@ def build_parser() -> argparse.ArgumentParser:
         description="Logical entropies of classical and quantum states",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
+    # files: (report key, argument dest, file kind) of each input; main loads each one whose
+    # argument is set, in this order, and passes the object to func under its report key
+    rho, pvm = ("rho", "infile", "density"), ("pvm", "pvm", "pvm")
 
     p = sub.add_parser("entropy", help="entropy, purity, and PVM quantities of a state")
     p.add_argument("--in", dest="infile", required=True, help="density matrix file")
     p.add_argument("--pvm", help="optional PVM file")
-    p.set_defaults(func=cmd_entropy)
+    p.set_defaults(func=cmd_entropy, files=(rho, pvm))
 
     p = sub.add_parser("divergence", help="logical divergence and fidelity of two states")
     p.add_argument("a_file", help="first density matrix file")
     p.add_argument("b_file", help="second density matrix file")
-    p.set_defaults(func=cmd_divergence)
+    p.set_defaults(
+        func=cmd_divergence, files=(("rho", "a_file", "density"), ("sigma", "b_file", "density"))
+    )
 
     p = sub.add_parser("relative", help="relative logical entropy of a bipartite state")
     p.add_argument("--in", dest="infile", required=True, help="density matrix file")
     p.add_argument("--dims", type=_int_list, default=None, help="factor dims, e.g. 2,2")
-    p.set_defaults(func=cmd_relative)
+    p.set_defaults(func=cmd_relative, files=(rho,))
 
     p = sub.add_parser("verify", help="run the proposition verification suite")
     p.add_argument(
@@ -256,20 +224,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--tol", type=float, default=1e-9)
-    p.set_defaults(func=cmd_verify)
+    p.set_defaults(func=cmd_verify, files=())
 
     p = sub.add_parser("postselect", help="weak values and post-selected entropies")
     p.add_argument("--pre", required=True, help="pre-selected state vector file")
     p.add_argument("--post", required=True, help="post-selected state vector file")
     p.add_argument("--pvm", required=True, help="PVM file")
-    p.set_defaults(func=cmd_postselect)
+    p.set_defaults(
+        func=cmd_postselect, files=(("pre", "pre", "vector"), ("post", "post", "vector"), pvm)
+    )
 
     p = sub.add_parser("sample", help="Monte Carlo two-draw distinction estimate")
     p.add_argument("--in", dest="infile", required=True, help="density matrix file")
     p.add_argument("--pvm", required=True, help="PVM file")
     p.add_argument("--trials", type=int, default=100000)
     p.add_argument("--seed", type=int, default=42)
-    p.set_defaults(func=cmd_sample)
+    p.set_defaults(func=cmd_sample, files=(rho, pvm))
 
     return parser
 
@@ -280,13 +250,18 @@ PARSER = build_parser()  # shared by every main call, so each default above is i
 def main(argv=None) -> int:
     args = PARSER.parse_args(argv)
     try:
-        out = args.func(args)
-        code = EXIT_OK
-        if isinstance(out, tuple):
-            out, code = out
-        sys.stdout.write(reports.dumps_stable(out))
+        inputs, loaded = {}, {}
+        for name, dest, kind in args.files:
+            if (path := getattr(args, dest)) is not None:
+                loaded[name], inputs[name] = reports.load_matrix_file(path, kind)
+        results, warnings, *code = args.func(args, **loaded)
+        echo = {k: v for k, v in sorted(vars(args).items()) if k not in ("func", "files")}
+        report = reports.run_report(
+            args.subcommand, echo, inputs, results, warnings, getattr(args, "seed", None)
+        )
+        sys.stdout.write(reports.dumps_stable(report))
         sys.stdout.write("\n")
-        return code
+        return code[0] if code else EXIT_OK
     except reports.ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -135,7 +135,7 @@ def assert_report_matches(fresh, pinned, path="report"):
         for i, (a, b) in enumerate(zip(fresh, pinned)):
             assert_report_matches(a, b, f"{path}[{i}]")
     else:
-        assert fresh == pinned, (path, fresh, pinned)
+        assert type(fresh) is type(pinned) and fresh == pinned, (path, fresh, pinned)
 
 
 def run(capsys, argv):
@@ -253,7 +253,10 @@ class TestVerifyCommand:
         assert "validation" in err
 
     def test_default_report_numbers_are_pinned(self, capsys):
-        # a checker refactor must not move a worst_violation, a count or the witness
+        # a checker refactor must not move a worst_violation, a count or the witness. The
+        # pin is the stdout of `OPENBLAS_NUM_THREADS=1 qlogent verify --trials 1000 --seed 42`;
+        # it is compared within 1e-12, not byte for byte, since another CPU's LAPACK may
+        # round the residues near 1e-15 differently
         pinned = json.loads((DATA / "verify_seed42_trials1000.json").read_text())
         fresh = run_json(capsys, ["verify", "--trials", "1000", "--seed", "42"])
         assert_report_matches(fresh, pinned)
@@ -650,6 +653,81 @@ def test_malformed_pvm_file(files, capsys, tmp_path, name):
     assert (out != "") == (code == 0)
 
 
+# Errors that name which file of several is bad: (argv, exit code, exact stderr), with
+# {name} for a path. Files load in the order of the usage line, so the first bad one is
+# reported; --dims is read with the flags, before any file, and checked after the load.
+_MISSING_FILE = "parse error: {missing}: [Errno 2] No such file or directory: '{missing}'\n"
+_BAD_JSON = (
+    "parse error: {bad_json}: Expecting property name enclosed in double quotes:"
+    " line 1 column 2 (char 1)\n"
+)
+_NOT_DENSITY = "validation error: trace 1.8 differs from 1 beyond 1.0e-09\n"
+
+
+def _wrong_kind(name, kind):
+    key = "blocks" if kind == "pvm" else "matrix"
+    return f"parse error: {{{name}}}: expected an object with kind {kind!r} and {key!r}\n"
+
+
+FIRST_BAD_FILE_CASES = {
+    "divergence-missing-then-bad-json": (
+        ["divergence", "{missing}", "{bad_json}"], 2, _MISSING_FILE),
+    "divergence-not-density-then-bad-json": (
+        ["divergence", "{not_density}", "{bad_json}"], 3, _NOT_DENSITY),
+    "divergence-good-then-vector": (
+        ["divergence", "{mixed}", "{vector}"], 2, _wrong_kind("vector", "density")),
+    "entropy-bad-json-then-missing-pvm": (
+        ["entropy", "--in", "{bad_json}", "--pvm", "{missing}"], 2, _BAD_JSON),
+    "entropy-not-density-then-bad-json-pvm": (
+        ["entropy", "--in", "{not_density}", "--pvm", "{bad_json}"], 3, _NOT_DENSITY),
+    "entropy-good-then-vector-as-pvm": (
+        ["entropy", "--in", "{mixed}", "--pvm", "{vector}"], 2, _wrong_kind("vector", "pvm")),
+    "postselect-missing-pre": (
+        ["postselect", "--pre", "{missing}", "--post", "{bad_json}", "--pvm", "{missing}"],
+        2, _MISSING_FILE),
+    "postselect-density-as-post": (
+        ["postselect", "--pre", "{vector}", "--post", "{mixed}", "--pvm", "{bad_json}"],
+        2, _wrong_kind("mixed", "vector")),
+    "postselect-density-as-pvm": (
+        ["postselect", "--pre", "{vector}", "--post", "{post}", "--pvm", "{mixed}"],
+        2, _wrong_kind("mixed", "pvm")),
+    "sample-missing-pvm": (
+        ["sample", "--in", "{mixed}", "--pvm", "{missing}"], 2, _MISSING_FILE),
+    "sample-vector-then-bad-json": (
+        ["sample", "--in", "{vector}", "--pvm", "{bad_json}"], 2,
+        _wrong_kind("vector", "density")),
+    "sample-not-density-then-missing": (
+        ["sample", "--in", "{not_density}", "--pvm", "{missing}"], 3, _NOT_DENSITY),
+    "relative-bad-json-and-zero-dim": (
+        ["relative", "--in", "{bad_json}", "--dims", "0,2"], 2, _BAD_JSON),
+    "relative-not-density-and-wrong-dims": (
+        ["relative", "--in", "{not_density}", "--dims", "2,2"], 3, _NOT_DENSITY),
+    "relative-missing-file-and-unparsable-dims": (
+        ["relative", "--in", "{missing}", "--dims", "2,x"], 2,
+        "qlogent relative: error: argument --dims: expected comma-separated integers,"
+        " got '2,x'\n"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FIRST_BAD_FILE_CASES))
+def test_first_bad_file_is_reported(files, capsys, tmp_path, name):
+    argv, code, err = FIRST_BAD_FILE_CASES[name]
+    paths = {
+        "missing": str(tmp_path / "missing.json"),
+        "bad_json": files["not_json.json"],
+        "not_density": files["not_density.json"],
+        "mixed": files["mixed.json"],
+        "vector": files["pre_plus.json"],
+        "post": files["post_zero.json"],
+    }
+    try:
+        got = cli.main([arg.format(**paths) for arg in argv])
+    except SystemExit as exc:  # a flag argparse cannot read
+        got = exc.code
+    captured = capsys.readouterr()
+    assert (got, captured.out, captured.err) == (code, "", err.format(**paths))
+
+
 def _object_dtype_decode(entries, ndim):
     """pairs_to_array as one object-dtype classification of the whole input."""
     a = np.array(entries, dtype=object)
@@ -1008,3 +1086,94 @@ class TestCpuCountDeterminism:
             assert proc.returncode == 0, proc.stderr
             assert proc.stdout.count(b"exit 0\n") == len(argvs), proc.stderr
         assert runs[0].stdout == runs[1].stdout
+
+
+# Inputs of the pinned command reports, drawn with numpy.random.default_rng and written
+# with the stdlib json module, never with qlogent's samplers or writer. Each entry is a
+# Gaussian-integer sum divided by one positive number (an integer, or for a unit vector
+# the square root of one): the sums are exact in floats whatever BLAS adds them, and each
+# division rounds once, so every file has the same bytes (and the pinned sha256) on any
+# machine.
+PINNED_DIMS = (2, 8, 64)
+
+
+def _gaussian_integers(rng, shape, high=3):
+    return rng.integers(-high, high + 1, shape) + 1j * rng.integers(-high, high + 1, shape)
+
+
+def _write_exact(path, kind, key, numerators, denominator):
+    # + 0.0 turns a -0.0 of the exact sums into 0.0
+    num = np.asarray(numerators) + 0.0
+    pairs = np.stack([num.real / denominator, num.imag / denominator], -1).tolist()
+    path.write_text(json.dumps({"kind": kind, key: pairs}, separators=(",", ":")) + "\n")
+
+
+def _orthogonal_columns(rng, d):
+    """Gaussian-integer d x d matrix with orthogonal columns of one squared norm, the Kronecker
+    product of [[a, -b*], [b, a*]] blocks with its rows and columns shuffled; and that norm."""
+    u, norm = np.ones((1, 1)), 1
+    while u.shape[0] < d:
+        a, b = _gaussian_integers(rng, 2, 2)
+        if a == b == 0:
+            continue
+        u = np.kron(u, np.array([[a, -b.conjugate()], [b, a.conjugate()]]))
+        norm *= int(abs(a) ** 2 + abs(b) ** 2)
+    return u[rng.permutation(d)][:, rng.permutation(d)], norm
+
+
+def _write_exact_pvm(path, rng, d, groups):
+    u, norm = _orthogonal_columns(rng, d)
+    edges = np.cumsum([0, *groups])
+    blocks = [u[:, i:j] @ u[:, i:j].conj().T for i, j in zip(edges, edges[1:])]
+    _write_exact(path, "pvm", "blocks", blocks, norm)
+
+
+def _write_exact_unit_vector(path, rng, d):
+    v = _gaussian_integers(rng, d)
+    _write_exact(path, "vector", "matrix", v, np.sqrt(float(np.vdot(v, v).real)))
+
+
+def _pinned_argvs(rng, d):
+    """Files for one dimension in the working directory, and the argv of each pinned case."""
+    g = _gaussian_integers(rng, (d, d))
+    gram = g @ g.conj().T
+    _write_exact(Path(f"full_{d}.json"), "density", "matrix", gram, float(np.trace(gram).real))
+    psi = _gaussian_integers(rng, d)
+    _write_exact(Path(f"rank1_{d}.json"), "density", "matrix", np.outer(psi, psi.conj()),
+                 float(np.vdot(psi, psi).real))
+    weights = rng.integers(1, 10, d)
+    _write_exact(Path(f"diag_{d}.json"), "density", "matrix", np.diag(weights), float(weights.sum()))
+    _write_exact_pvm(Path(f"fine_{d}.json"), rng, d, [1] * d)
+    _write_exact_pvm(Path(f"coarse_{d}.json"), rng, d, [d] if d == 2 else [d // 2, d // 2])
+    _write_exact_unit_vector(Path(f"pre_{d}.json"), rng, d)
+    _write_exact_unit_vector(Path(f"post_{d}.json"), rng, d)
+    full, rank1, diag, fine, coarse = (
+        f"{name}_{d}.json" for name in ("full", "rank1", "diag", "fine", "coarse")
+    )
+    return {
+        f"entropy-full-{d}": ["entropy", "--in", full],
+        f"entropy-full-fine-{d}": ["entropy", "--in", full, "--pvm", fine],
+        f"entropy-rank1-coarse-{d}": ["entropy", "--in", rank1, "--pvm", coarse],
+        f"divergence-full-rank1-{d}": ["divergence", full, rank1],
+        f"divergence-diag-full-{d}": ["divergence", diag, full],
+        f"relative-full-{d}": ["relative", "--in", full, "--dims", f"2,{d // 2}"],
+        f"postselect-fine-{d}": ["postselect", "--pre", f"pre_{d}.json", "--post",
+                                 f"post_{d}.json", "--pvm", fine],
+        f"sample-full-fine-{d}": ["sample", "--in", full, "--pvm", fine, "--trials", "5000",
+                                  "--seed", "7"],
+    }
+
+
+def pinned_command_reports(capsys) -> dict:
+    """Report of every pinned case, run in the working directory (so paths are relative)."""
+    rng = np.random.default_rng(20211)
+    argvs = {name: argv for d in PINNED_DIMS for name, argv in _pinned_argvs(rng, d).items()}
+    return {name: run_json(capsys, argv) for name, argv in argvs.items()}
+
+
+def test_command_reports_are_pinned(capsys, tmp_path, monkeypatch):
+    # every command but verify (pinned on its own above) on full-rank, rank-1 and diagonal
+    # states, fine and coarse PVMs, d = 2, 8 and 64
+    monkeypatch.chdir(tmp_path)
+    pinned = json.loads((DATA / "command_reports.json").read_text())
+    assert_report_matches(pinned_command_reports(capsys), pinned)
