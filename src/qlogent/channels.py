@@ -5,8 +5,8 @@ from __future__ import annotations
 import numpy as np
 
 from . import linalg as la
-from .linalg import DimensionMismatchError
-from .states import DensityMatrix, ValidationError
+from .linalg import DimensionMismatchError, ValidationError
+from .states import DensityMatrix
 
 
 class InteractionBlocks:

@@ -24,12 +24,8 @@ class DimensionMismatchError(ValueError):
     """Raised when operand dimensions are incompatible."""
 
 
-class NotHermitianError(ValueError):
-    """Raised when an operation requires a Hermitian input."""
-
-
-class NotPsdError(ValueError):
-    """Raised when an eigenvalue falls below the PSD clamping window."""
+class ValidationError(ValueError):
+    """Raised when a matrix, state or PVM fails its structural invariants."""
 
 
 class HermitianEigenSystem(NamedTuple):
@@ -73,7 +69,7 @@ def require_hermitian(m: np.ndarray, tol: float = HERMITICITY_TOL) -> np.ndarray
     m = as_stack(m)
     defect = hermiticity_defect(m)
     if not defect <= tol:  # a NaN defect fails too
-        raise NotHermitianError(f"hermiticity defect {defect:.3e} exceeds {tol:.1e}")
+        raise ValidationError(f"hermiticity defect {defect:.3e} exceeds {tol:.1e}")
     return m
 
 
@@ -142,7 +138,7 @@ def clamp_psd_eigvals(values: np.ndarray, tol: float = PSD_TOL) -> np.ndarray:
     """Clamp eigenvalues in [-tol, 0) to zero; reject anything below -tol."""
     low = float(np.min(values))
     if low < -tol:
-        raise NotPsdError(f"eigenvalue {low:.3e} below -{tol:.1e}")
+        raise ValidationError(f"eigenvalue {low:.3e} below -{tol:.1e}")
     return np.maximum(values, 0.0)
 
 

@@ -5,8 +5,8 @@ from __future__ import annotations
 import numpy as np
 
 from . import linalg as la
-from .linalg import EQ_TOL, DimensionMismatchError
-from .states import TRACE_TOL, Pvm, ValidationError
+from .linalg import EQ_TOL, DimensionMismatchError, ValidationError
+from .states import TRACE_TOL, Pvm
 
 OVERLAP_EPS = 1e-12
 
@@ -33,10 +33,6 @@ class PrePostPair:
         self.pre = pre
         self.post = post
         self.overlap = overlap
-
-    @property
-    def dim(self) -> int:
-        return self.pre.size
 
 
 def _unit_vector(v, name: str) -> np.ndarray:

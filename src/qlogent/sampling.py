@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .states import DensityMatrix, Pvm
+
 _PHILOX_KEY_LIMIT = 1 << 64
 
 
@@ -46,8 +48,6 @@ def sample_densities(seed: int, n: int, dim: int, rank: int | None = None, *stre
 
 
 def sample_density(seed: int, dim: int, rank: int | None = None, *stream: int):
-    from .states import DensityMatrix
-
     return DensityMatrix.trusted(sample_densities(seed, 1, dim, rank, *stream)[0])
 
 
@@ -76,8 +76,6 @@ def sample_unitary(seed: int, dim: int, *stream: int) -> np.ndarray:
 
 def sample_pvm(seed: int, dim: int, groups: list[int] | None = None, *stream: int):
     """Random PVM from a Haar basis, optionally coarse-grained into groups."""
-    from .states import Pvm
-
     return Pvm.from_basis(sample_unitary(seed, dim, 0x9B, *stream), groups)
 
 

@@ -12,6 +12,7 @@ from .linalg import (
     HERMITICITY_TOL,
     PSD_TOL,
     DimensionMismatchError,
+    ValidationError,
     hermitian_eig,
     hermitian_eigvals,
     psd_sqrt,
@@ -29,10 +30,6 @@ OUTCOME_EPS = 1e-12
 # 0.42 ms), medians of 41; fine d = 64: 75 vs 4.2 ms, best of 9. 28 pairs keep the
 # 8-outcome PVM of sample on the scan.
 CERTIFY_MIN_PAIRS = 78
-
-
-class ValidationError(ValueError):
-    """Raised when a state or PVM fails its structural invariants."""
 
 
 class DensityMatrix:

@@ -609,6 +609,10 @@ MALFORMED_PVM_FILES = {
     ),
     "400_digit_int": (_pvm(f"[{_entry('1' + '0' * 399)}, {_B1}]"), 2, _FINITE),
     "ragged_block": (_pvm(f"[{_B0}, {_RAGGED}]"), 2, _RECTANGULAR),
+    "block_off_hermitian": (
+        _pvm(f"[[[[1, 0], [1e-6, 0]], [[0, 0], [0, 0]]], {_B1}]"), 3,
+        "validation error: hermiticity defect 1.000e-06 exceeds 1.0e-09\n",
+    ),
     "block_not_a_list": (_pvm(f"[{_B0}, 7]"), 2, _RECTANGULAR),
     "first_bad_block_wins_finite": (_pvm(f"[{_B0}, {_entry('true')}, {_RAGGED}]"), 2, _FINITE),
     "first_bad_block_wins_ragged": (_pvm(f"[{_RAGGED}, {_entry('true')}]"), 2, _RECTANGULAR),
@@ -726,6 +730,24 @@ def test_first_bad_file_is_reported(files, capsys, tmp_path, name):
         got = exc.code
     captured = capsys.readouterr()
     assert (got, captured.out, captured.err) == (code, "", err.format(**paths))
+
+
+# Exit 3 from the density validation: (matrix, exact stderr)
+INVALID_DENSITIES = {
+    "off-hermitian": (
+        np.array([[0.5, 1e-6], [0.0, 0.5]]), "validation error: not Hermitian: defect 1.000e-06\n"),
+    "negative-eigenvalue": (
+        np.diag([0.6, 0.5, -0.1]),
+        "validation error: negative eigenvalue -1.000e-01 beyond -1.0e-09\n"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INVALID_DENSITIES))
+def test_invalid_density_is_reported(capsys, tmp_path, name):
+    mat, err = INVALID_DENSITIES[name]
+    path = tmp_path / "rho.json"
+    reports.write_matrix_file(str(path), "density", mat)
+    assert run(capsys, ["entropy", "--in", str(path)]) == (3, "", err)
 
 
 def _object_dtype_decode(entries, ndim):

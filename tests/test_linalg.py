@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from qlogent import linalg as la
+from qlogent import states as qs
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -190,16 +191,16 @@ class TestHermitianEig:
             assert pivot.real > 0 and abs(pivot.imag) <= 1e-12
 
     def test_rejects_non_hermitian(self):
-        with pytest.raises(la.NotHermitianError):
+        with pytest.raises(la.ValidationError):
             la.hermitian_eig(np.array([[0, 1], [0, 0]], dtype=complex))
 
     @pytest.mark.parametrize("entry", [(0, 0), (0, 1)])
     def test_rejects_a_nan_entry(self, entry):
         m = np.diag([0.5, 1.0]).astype(complex)
         m[entry] = np.nan
-        with pytest.raises(la.NotHermitianError, match="nan"):
+        with pytest.raises(la.ValidationError, match="nan"):
             la.hermitian_eig(m)
-        with pytest.raises(la.NotHermitianError):
+        with pytest.raises(la.ValidationError):
             la.hermitian_eigvals(np.stack([np.eye(2), m]))
 
     @pytest.mark.parametrize("kind", ["full_rank", "rank_one", "diagonal"])
@@ -242,11 +243,12 @@ class TestPsdSqrt:
             assert np.max(np.abs(root @ root - m)) <= 1e-8
 
     def test_rejects_negative_eigenvalue(self):
-        with pytest.raises(la.NotPsdError):
+        assert la.ValidationError is qs.ValidationError  # one exception type for exit 3
+        with pytest.raises(la.ValidationError, match=r"^eigenvalue -5\.000e-01 below -1\.0e-09$"):
             la.psd_sqrt(np.diag([1.0, -0.5]))
 
     def test_rejects_a_nan_entry(self):
-        with pytest.raises(la.NotHermitianError):
+        with pytest.raises(la.ValidationError):
             la.psd_sqrt(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
 
