@@ -2,6 +2,7 @@ import argparse
 import gc
 import json
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 import qlogent
 from qlogent import cli, reports
 from qlogent.linalg import DimensionMismatchError
-from qlogent.sampling import sample_density, sample_pvm, sample_state_vector
+from qlogent.sampling import sample_density, sample_pvm, sample_state_vector, sample_unitary
 from qlogent.states import DensityMatrix, Pvm
 
 
@@ -263,6 +264,16 @@ class TestVerifyCommand:
         assert fresh["results"]["ssa"]["witness"] == pinned["results"]["ssa"]["witness"]
 
 
+@pytest.fixture(scope="module")
+def haar_pvm_files(tmp_path_factory):
+    """A fine PVM file from a Haar (QR) basis for each d of the overlap table."""
+    paths = {}
+    for d in (2, 8, 64):
+        paths[d] = str(tmp_path_factory.mktemp("pvm") / f"pvm_{d}.json")
+        write_pvm(paths[d], sample_pvm(d, d))
+    return paths
+
+
 class TestPostselectCommand:
     def test_worked_example(self, files, capsys):
         doc = run_json(
@@ -307,6 +318,31 @@ class TestPostselectCommand:
         )
         assert code == 6
         assert "orthogonal" in err
+
+    @pytest.mark.parametrize("d", [2, 8, 64])
+    @pytest.mark.parametrize("overlap", [1e-13, 1e-11, 1e-10, 1e-8, 1e-4, 1e-1])
+    def test_overlap_alone_decides_acceptance(self, d, overlap, haar_pvm_files, tmp_path, capsys):
+        # unit vectors in a Haar (QR) basis u: pre = u_0, post = c u_0 + s u_1, so
+        # <phi|psi> = c up to rounding; no overlap is within 10x of the 1e-12 gate
+        u = sample_unitary(d, d, 0x0E)
+        pre, post = tmp_path / "pre.json", tmp_path / "post.json"
+        reports.write_matrix_file(str(pre), "vector", u[:, 0])
+        reports.write_matrix_file(
+            str(post), "vector", overlap * u[:, 0] + np.sqrt(1.0 - overlap**2) * u[:, 1]
+        )
+        argv = ["postselect", "--pre", str(pre), "--post", str(post), "--pvm", haar_pvm_files[d]]
+        code, out, err = run(capsys, argv)
+        if overlap < 1e-12:
+            assert (code, out) == (6, "")
+            shown = re.fullmatch(
+                r"orthogonal pre/post selection: \|<phi\|psi>\| = (\S+) is below 1e-12\n", err
+            )
+            assert shown and abs(float(shown[1]) - overlap) <= 0.1 * overlap, err
+        else:
+            assert (code, err) == (0, "")
+            res = json.loads(out)["results"]
+            assert abs(complex(*res["overlap"]) - overlap) <= 0.1 * overlap
+            assert np.isfinite(res["weak_values"]).all()
 
 
 class TestSampleCommand:

@@ -1,9 +1,11 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from qlogent import postselect as ps
 from qlogent import states as qs
-from qlogent.sampling import sample_pvm, sample_state_vector
+from qlogent.sampling import sample_pvm, sample_state_vector, sample_unitary
 
 KET0 = np.array([1.0, 0.0])
 KET1 = np.array([0.0, 1.0])
@@ -19,16 +21,41 @@ def pair_state(pre, post):
     return ps.pre_post_state(ps.PrePostPair(pre, post))
 
 
+def _exact(a):
+    """Complex floats as exact (re, im) Fraction pairs, keeping nesting."""
+    a = np.asarray(a)
+    if a.ndim:
+        return [_exact(x) for x in a]
+    z = complex(a)
+    return Fraction(z.real), Fraction(z.imag)
+
+
+def _exact_dot(xs, ys):
+    re = sum(a * c - b * e for (a, b), (c, e) in zip(xs, ys))
+    im = sum(a * e + b * c for (a, b), (c, e) in zip(xs, ys))
+    return re, im
+
+
+def _exact_div(x, y):
+    (a, b), (c, e) = x, y
+    n = c * c + e * e
+    return (a * c + b * e) / n, (b * c - a * e) / n
+
+
+def _to_complex(x):
+    return complex(float(x[0]), float(x[1]))
+
+
 class TestPrePostState:
     def test_no_postselection_effect(self):
         rho = pair_state(KET0, KET0)
-        assert np.max(np.abs(rho.mat - np.outer(KET0, KET0))) <= 1e-12
+        assert np.max(np.abs(rho - np.outer(KET0, KET0))) <= 1e-12
 
     def test_entrywise_construction(self):
         rho = pair_state(PLUS, KET0)
         # <0|+> = 1/sqrt(2), so rho = sqrt(2) |+><0|
         expected = np.sqrt(2) * np.outer(PLUS, KET0.conj())
-        assert np.max(np.abs(rho.mat - expected)) <= 1e-12
+        assert np.max(np.abs(rho - expected)) <= 1e-12
 
     def test_orthogonal_pair_rejected(self):
         with pytest.raises(ps.OrthogonalSelectionError):
@@ -39,7 +66,7 @@ class TestPrePostState:
             pre = sample_state_vector(seed, 3, 0)
             post = sample_state_vector(seed, 3, 1)
             rho = pair_state(pre, post)
-            assert abs(np.trace(rho.mat) - 1.0) <= 1e-9
+            assert abs(np.trace(rho) - 1.0) <= 1e-9
 
     def test_rejects_non_unit_vectors(self):
         with pytest.raises(qs.ValidationError):
@@ -48,14 +75,6 @@ class TestPrePostState:
     def test_rejects_non_finite_vectors(self):
         with pytest.raises(qs.ValidationError, match="non-finite"):
             ps.PrePostPair(np.array([np.nan, 1.0]), KET0)
-
-    @pytest.mark.parametrize("entry", [(0, 0), (0, 1)])
-    def test_generalized_density_rejects_a_nan_entry(self, entry):
-        mat = np.outer(PLUS, KET0).astype(complex) * np.sqrt(2)
-        ps.GeneralizedDensity(mat)
-        mat[entry] = np.nan
-        with pytest.raises(qs.ValidationError, match="non-finite"):
-            ps.GeneralizedDensity(mat)
 
 
 class TestWeakValues:
@@ -87,6 +106,23 @@ class TestWeakValues:
                 [np.vdot(post, b @ pre) / pair.overlap for b in pvm.blocks]
             )
             assert np.max(np.abs(w - oracle)) <= 1e-9
+
+    @pytest.mark.parametrize("d", [2, 8])
+    @pytest.mark.parametrize("overlap", [1e-11, 1e-10, 1e-8, 1e-6, 1e-4, 1e-1])
+    def test_relative_error_within_bound(self, d, overlap):
+        # w_i = <phi|B_i|psi> / <phi|psi> evaluated exactly on the float inputs; the
+        # floating-point weak values are within d eps / |<phi|psi>| of it, norm-wise
+        for seed in range(5):
+            u = sample_unitary(seed, d, 0x0E)
+            pair = ps.PrePostPair(u[:, 0], overlap * u[:, 0] + np.sqrt(1.0 - overlap**2) * u[:, 1])
+            pvm = sample_pvm(seed, d)
+            w = ps.weak_values(ps.pre_post_state(pair), pvm)
+            pre, post = _exact(pair.pre), _exact(pair.post.conj())
+            num = [_exact_dot(post, [_exact_dot(row, pre) for row in _exact(b)]) for b in pvm.blocks]
+            den = _exact_dot(post, pre)
+            exact = np.array([_to_complex(_exact_div(n, den)) for n in num])
+            err = np.linalg.norm(w - exact) / np.linalg.norm(exact)
+            assert err <= d * np.finfo(float).eps / overlap
 
     def test_sum_to_one(self):
         for seed in range(50):
@@ -193,7 +229,7 @@ class TestWeakEntropy:
             pvm = sample_pvm(seed, 3)
             rho = pair_state(pre, post)
             value = ps.weak_logical_entropy(rho, pvm)
-            meas = sum(b @ rho.mat @ b for b in pvm.blocks)
+            meas = sum(b @ rho @ b for b in pvm.blocks)
             oracle = np.trace(meas @ (np.eye(3) - meas))
             assert abs(value - oracle) <= 1e-9
 
