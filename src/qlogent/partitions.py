@@ -9,8 +9,9 @@ from functools import partial
 
 import numpy as np
 
-from .sampling import rng_for
-
+# as_probability_vector's tolerance. Quantum outcome vectors skip that check and go straight
+# to distribution_purity: a PVM passes its identity check within HERMITICITY_TOL per entry,
+# so sum_i tr(B_i rho) may miss 1 by about d * HERMITICITY_TOL (3.0e-8 measured at d = 64)
 PROB_SUM_TOL = 1e-9
 MC_CHUNK = 1 << 20  # draw pairs per Monte Carlo chunk; fixes only the draw layout
 # pairs drawn and binned per pass, bounding memory: 1.25 MB of buffers per worker, inside a
@@ -105,10 +106,15 @@ def partition_logical_entropy(p: SetPartition) -> float:
     return dit_count(p) / (n * n)
 
 
+def distribution_purity(p: np.ndarray) -> np.ndarray:
+    """sum p_i^2 over the last axis of already-checked probabilities; 1 minus it is the
+    chance that two draws differ. The classical twin of states.purity."""
+    return np.sum(p * p, axis=-1)
+
+
 def distribution_logical_entropy(p) -> float:
     """1 - sum p_i^2: probability of drawing two different elements."""
-    p = as_probability_vector(p)
-    return float(1.0 - np.sum(p * p))
+    return float(1.0 - distribution_purity(as_probability_vector(p)))
 
 
 def block_mass_entropy(p: SetPartition, probs) -> float:
@@ -118,13 +124,14 @@ def block_mass_entropy(p: SetPartition, probs) -> float:
         raise ValueError("probability vector size must match the universe")
     masses = np.zeros(p.num_blocks)
     np.add.at(masses, np.asarray(p.block_of), probs)
-    return distribution_logical_entropy(masses)
+    # probs may sum to 1 + PROB_SUM_TOL, so one block's mass may pass 1
+    return float(1.0 - distribution_purity(np.minimum(masses, 1.0)))
 
 
 def distinct_pair_fraction(p: np.ndarray, trials: int, rng: np.random.Generator) -> float:
     """Fraction of i.i.d. pairs from a finite, normalised p that differ; draws match rng.choice.
 
-    rng must be a fresh Philox generator, as rng_for returns; only its key is
+    rng must be a fresh Philox generator, as sampling.rng_for returns; only its key is
     read, and it is not advanced. Pair j of the n-pair chunk that starts at
     pair s takes stream draws 2s + j and 2s + n + j, as rng.random((2, n))
     lays them out, so each chunk splits into even shares drawn from
@@ -132,6 +139,8 @@ def distinct_pair_fraction(p: np.ndarray, trials: int, rng: np.random.Generator)
     MC_MIN_SHARE pairs of the first chunk. The estimate does not depend on
     the split.
     """
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     state = rng.bit_generator.state
     fresh = state["bit_generator"] == "Philox" and state["buffer_pos"] == 4
     if not fresh or any(state["state"]["counter"]):
@@ -180,14 +189,6 @@ def _count_distinct(cdf: np.ndarray, u: np.ndarray, draws: np.ndarray, mask: np.
         np.add(draws, mask.view(np.uint8), out=draws)
     np.not_equal(draws[0], draws[1], out=mask[0])
     return int(np.count_nonzero(mask[0]))
-
-
-def two_draw_distinction_mc(p, trials: int, seed: int) -> float:
-    """Monte Carlo fraction of i.i.d. draw pairs with distinct outcomes."""
-    p = as_probability_vector(p)
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    return distinct_pair_fraction(p / np.sum(p), trials, rng_for(seed, 0x7061))
 
 
 def _usable_cpus() -> int:

@@ -17,7 +17,7 @@ from . import linalg as la
 from . import sampling as sp
 from . import states as qs
 from .channels import InteractionBlocks, prop6_bounds
-from .partitions import distinct_pair_fraction
+from .partitions import distinct_pair_fraction, distribution_purity
 from .reports import matrix_to_pairs
 from .states import DensityMatrix, Pvm, outcome_probabilities
 
@@ -122,7 +122,7 @@ def _lerp(lam: np.ndarray, x: DensityMatrix, y: DensityMatrix) -> DensityMatrix:
 
 def _mixture_bound(w: np.ndarray, parts: DensityMatrix) -> np.ndarray:
     """L(w) + sum_k w_k^2 L(part_k)."""
-    return 1.0 - np.sum(w * w, axis=1) + np.sum(w * w * qs.logical_entropy(parts), axis=1)
+    return 1.0 - distribution_purity(w) + np.sum(w * w * qs.logical_entropy(parts), axis=1)
 
 
 def _alternating(half):
@@ -242,7 +242,7 @@ def _check_9(b: _Block, db: int) -> np.ndarray:
     # (b) generic mixture: two-sided neighborhood
     w2, parts2, rho2 = b.mixture(1)
     avg2 = np.sum(w2 * qs.logical_entropy(parts2), axis=1)
-    width = 1.0 - np.sum(w2 * w2, axis=1)
+    width = 1.0 - distribution_purity(w2)
     l2 = qs.logical_entropy(rho2)
     return np.maximum.reduce([violation, avg2 - width - l2, l2 - avg2 - width])
 
@@ -363,7 +363,5 @@ def strong_subadditivity_search(cfg: SamplerConfig) -> PropositionResult:
 
 def two_draw_quantum_mc(rho: DensityMatrix, pvm: Pvm, trials: int, seed: int) -> float:
     """Monte Carlo fraction of distinct outcomes over i.i.d. PVM outcome pairs."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
     q = outcome_probabilities(rho, pvm)
     return distinct_pair_fraction(q / np.sum(q), trials, sp.rng_for(seed, 0x2D))

@@ -20,6 +20,7 @@ from .linalg import (
     require_hermitian,
     tensor_product,
 )
+from .partitions import distribution_purity
 
 TRACE_TOL = 1e-9
 OUTCOME_EPS = 1e-12
@@ -312,8 +313,7 @@ def pvm_logical_entropy(rho: DensityMatrix, pvm: Pvm) -> float:
     this is the operational two-draw reading, which differs from the measured
     state's 1 - tr rho'^2 (rho' keeps intra-block coherences).
     """
-    q = outcome_probabilities(rho, pvm)
-    return float(1.0 - np.sum(q * q))
+    return float(1.0 - distribution_purity(outcome_probabilities(rho, pvm)))
 
 
 def eigenbasis_pvm(rho: DensityMatrix) -> Pvm:
@@ -327,8 +327,7 @@ def basis_decomposition_check(rho: DensityMatrix, pvm: Pvm) -> tuple[float, floa
     """Split tr rho^2 into (tr rho'^2, off-diagonal mass) in a non-degenerate basis."""
     if not pvm.non_degenerate:
         raise ValidationError("basis decomposition requires a non-degenerate PVM")
-    q = outcome_probabilities(rho, pvm)
-    diag_part = float(np.sum(q * q))
+    diag_part = float(distribution_purity(outcome_probabilities(rho, pvm)))
     return diag_part, purity(rho) - diag_part
 
 

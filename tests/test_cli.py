@@ -17,8 +17,9 @@ from hypothesis import strategies as st
 import qlogent
 from qlogent import cli, reports
 from qlogent.linalg import DimensionMismatchError
+from qlogent.partitions import distribution_logical_entropy
 from qlogent.sampling import sample_density, sample_pvm, sample_state_vector, sample_unitary
-from qlogent.states import DensityMatrix, Pvm
+from qlogent.states import DensityMatrix, Pvm, outcome_probabilities, pvm_logical_entropy
 
 
 @pytest.fixture
@@ -372,6 +373,52 @@ class TestSampleCommand:
         _, out1, _ = run(capsys, argv)
         _, out2, _ = run(capsys, argv)
         assert out1 == out2
+
+    @pytest.mark.parametrize("trials", ["0", "-5"])
+    def test_trial_count_below_one(self, files, capsys, trials):
+        argv = ["sample", "--in", files["mixed.json"], "--pvm", files["comp_pvm.json"],
+                "--trials", trials]
+        assert run(capsys, argv) == (3, "", "validation error: trials must be >= 1\n")
+
+
+class TestOutcomeSumDrift:
+    """rho = v v^dag, v = ones(64)/8, and the fine computational PVM with B_0 += 3e-8 v v^dag.
+
+    The PVM passes its identity check, yet its outcome probabilities sum to 1 + 3.0e-8,
+    beyond PROB_SUM_TOL. The quantum entropies take q as it is; only the classical
+    layer's checked entry point refuses it.
+    """
+
+    # 1 - sum q^2 with q_0 = 1/64 + 3e-8 and 63 outcomes of 1/64
+    ENTROPY = 1.0 - (63 / 4096 + (1 / 64 + 3e-8) ** 2)
+
+    @pytest.fixture
+    def drift(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        v = np.ones(64) / 8
+        blocks = np.zeros((64, 64, 64), dtype=complex)
+        blocks[np.arange(64), np.arange(64), np.arange(64)] = 1.0
+        blocks[0] += 3e-8 * np.outer(v, v)
+        reports.write_matrix_file("pvm.json", "pvm", blocks)
+        reports.write_matrix_file("rho.json", "density", np.outer(v, v))
+        return reports.load_matrix_file("rho.json", "density")[0], Pvm(blocks)
+
+    def test_quantum_entropy_takes_unchecked_outcomes(self, drift):
+        rho, pvm = drift
+        q = outcome_probabilities(rho, pvm)
+        assert float(np.sum(q)) == pytest.approx(1 + 3e-8, abs=1e-15)
+        assert pvm_logical_entropy(rho, pvm) == 1.0 - np.sum(q * q)
+        with pytest.raises(ValueError, match="probabilities sum to 1.00000003"):
+            distribution_logical_entropy(q)
+
+    def test_entropy_and_sample_commands(self, drift, capsys):
+        entropy = run_json(capsys, ["entropy", "--in", "rho.json", "--pvm", "pvm.json"])
+        assert entropy["results"]["pvm_logical_entropy"] == pytest.approx(self.ENTROPY, abs=1e-15)
+        assert entropy["results"]["pvm_non_degenerate"] is False
+        sample = run_json(capsys, ["sample", "--in", "rho.json", "--pvm", "pvm.json"])["results"]
+        assert sample["analytic"] == pytest.approx(self.ENTROPY, abs=1e-15)
+        # 98450 of the default 100000 pairs at seed 42 differ
+        assert sample["estimate"] == 0.9845
 
 
 class TestExitCodes:

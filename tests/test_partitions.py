@@ -21,6 +21,12 @@ def dit_count_oracle(p: pt.SetPartition) -> int:
     )
 
 
+def two_draw(p, trials, seed):
+    """distinct_pair_fraction on a checked distribution p, drawn from stream (seed, 0x7061)."""
+    p = pt.as_probability_vector(p)
+    return pt.distinct_pair_fraction(p / p.sum(), trials, rng_for(seed, 0x7061))
+
+
 def partition_strategy(max_n=12):
     return st.integers(2, max_n).flatmap(
         lambda n: st.lists(st.integers(0, n - 1), min_size=n, max_size=n)
@@ -153,11 +159,15 @@ class TestDistributionEntropy:
         for call in (
             pt.distribution_logical_entropy,
             lambda q: pt.block_mass_entropy(pair, q),
-            lambda q: pt.two_draw_distinction_mc(q, 10, 1),
         ):
             for q in ([bad, 1.0], [0.5, bad]):
                 with pytest.raises(ValueError, match="finite"):
                     call(q)
+
+    def test_one_block_over_a_sum_within_tolerance_has_zero_entropy(self):
+        # the probabilities pass as_probability_vector but sum to 1 + 6e-10
+        one = pt.SetPartition.from_labels([0, 0])
+        assert pt.block_mass_entropy(one, [0.5 + 3e-10, 0.5 + 3e-10]) == 0.0
 
     def test_block_mass_entropy_reduces_to_partition_entropy(self):
         p = pt.SetPartition.from_blocks([[0, 1], [2, 3], [4, 5]])
@@ -169,26 +179,26 @@ class TestDistributionEntropy:
 
 class TestTwoDrawMc:
     def test_deterministic_distribution(self):
-        assert pt.two_draw_distinction_mc([1.0, 0.0], trials=1000, seed=1) == 0.0
+        assert two_draw([1.0, 0.0], trials=1000, seed=1) == 0.0
 
     def test_deterministic_distribution_over_two_chunks(self):
-        assert pt.two_draw_distinction_mc([1.0, 0.0], trials=pt.MC_CHUNK + 1, seed=1) == 0.0
+        assert two_draw([1.0, 0.0], trials=pt.MC_CHUNK + 1, seed=1) == 0.0
 
     def test_uniform_two_within_ci(self):
         trials = 10**6
-        est = pt.two_draw_distinction_mc([0.5, 0.5], trials=trials, seed=123)
+        est = two_draw([0.5, 0.5], trials=trials, seed=123)
         sigma = np.sqrt(0.25 / trials)
         assert abs(est - 0.5) <= 3 * sigma
 
     def test_skewed_within_ci(self):
         trials = 10**6
-        est = pt.two_draw_distinction_mc([0.5, 0.25, 0.25], trials=trials, seed=77)
+        est = two_draw([0.5, 0.25, 0.25], trials=trials, seed=77)
         sigma = np.sqrt(0.625 * 0.375 / trials)
         assert abs(est - 0.625) <= 3 * sigma
 
     def test_seed_reproducibility(self):
-        a = pt.two_draw_distinction_mc([0.3, 0.7], trials=10000, seed=5)
-        b = pt.two_draw_distinction_mc([0.3, 0.7], trials=10000, seed=5)
+        a = two_draw([0.3, 0.7], trials=10000, seed=5)
+        b = two_draw([0.3, 0.7], trials=10000, seed=5)
         assert a == b
 
     def test_converges_in_most_seeded_runs(self):
@@ -197,10 +207,15 @@ class TestTwoDrawMc:
         trials = 20000
         sigma = np.sqrt(analytic * (1 - analytic) / trials)
         hits = sum(
-            abs(pt.two_draw_distinction_mc(p, trials, seed) - analytic) <= 4 * sigma
+            abs(two_draw(p, trials, seed) - analytic) <= 4 * sigma
             for seed in range(200)
         )
         assert hits >= 199
+
+    @pytest.mark.parametrize("trials", [0, -5])
+    def test_rejects_trial_counts_below_one(self, trials):
+        with pytest.raises(ValueError, match=r"trials must be >= 1"):
+            pt.distinct_pair_fraction(np.array([0.5, 0.5]), trials, rng_for(1))
 
 
 def choice_reference(p, trials, rng):
@@ -244,7 +259,7 @@ class TestDrawKernel:
         zero = {"first": 0, "middle": k // 2, "last": k - 1}[where]
         p = probabilities(k, [zero])
         trials = pt.MC_CHUNK + 1
-        got = pt.two_draw_distinction_mc(p, trials, seed=3)
+        got = two_draw(p, trials, seed=3)
         assert got == choice_reference(p, trials, rng_for(3, 0x7061))
 
     @pytest.mark.parametrize("k", [8, 64, 65])
