@@ -128,7 +128,7 @@ def cmd_postselect(args, pre, post, pvm):
     pair = ps.PrePostPair(pre, post)
     rho = ps.pre_post_state(pair)
     w = ps.weak_values(rho, pvm)
-    abl = ps.abl_probabilities(rho, pvm)
+    abl = ps.abl_probabilities(w)
     diag = ps.relation_diagnostic(rho, pvm)
     warnings = []
     if not diag["agrees"]:

@@ -30,7 +30,6 @@ class SetPartition:
     the same blocks compare equal regardless of input labeling.
     """
 
-    universe_size: int
     block_of: tuple[int, ...]
 
     @classmethod
@@ -38,13 +37,8 @@ class SetPartition:
         labels = list(labels)
         if not labels:
             raise ValueError("partition of an empty set is not supported")
-        relabel: dict = {}
-        canon = []
-        for lab in labels:
-            if lab not in relabel:
-                relabel[lab] = len(relabel)
-            canon.append(relabel[lab])
-        return cls(len(canon), tuple(canon))
+        relabel = {lab: i for i, lab in enumerate(dict.fromkeys(labels))}
+        return cls(tuple(relabel[lab] for lab in labels))
 
     @classmethod
     def from_blocks(cls, blocks: list[list[int]]) -> "SetPartition":
@@ -60,6 +54,10 @@ class SetPartition:
         return cls.from_labels(labels)
 
     @property
+    def universe_size(self) -> int:
+        return len(self.block_of)
+
+    @property
     def num_blocks(self) -> int:
         return max(self.block_of) + 1
 
@@ -70,15 +68,8 @@ class SetPartition:
         """True if every block of self is contained in a block of other."""
         if self.universe_size != other.universe_size:
             raise ValueError("partitions over different universes")
-        seen: dict[int, int] = {}
-        for u in range(self.universe_size):
-            b = self.block_of[u]
-            if b in seen:
-                if other.block_of[u] != seen[b]:
-                    return False
-            else:
-                seen[b] = other.block_of[u]
-        return True
+        target = dict(zip(self.block_of, other.block_of))  # each block's last element's block
+        return all(target[b] == c for b, c in zip(self.block_of, other.block_of))
 
 
 def as_probability_vector(p) -> np.ndarray:
@@ -101,7 +92,8 @@ def dit_count(p: SetPartition) -> int:
 
 
 def partition_logical_entropy(p: SetPartition) -> float:
-    """Probability that two uniform draws land in distinct blocks."""
+    """Probability that two uniform draws land in distinct blocks, from the exact dit
+    count; block_mass_entropy is its generalisation to elements of unequal weight."""
     n = p.universe_size
     return dit_count(p) / (n * n)
 
@@ -118,12 +110,13 @@ def distribution_logical_entropy(p) -> float:
 
 
 def block_mass_entropy(p: SetPartition, probs) -> float:
-    """Logical entropy of a partition whose elements carry probabilities."""
+    """Logical entropy of a partition whose elements carry probabilities: 1 - sum of the
+    squared block masses. Uniform probs give partition_logical_entropy up to rounding,
+    and the discrete partition gives distribution_logical_entropy(probs) exactly."""
     probs = as_probability_vector(probs)
     if probs.size != p.universe_size:
         raise ValueError("probability vector size must match the universe")
-    masses = np.zeros(p.num_blocks)
-    np.add.at(masses, np.asarray(p.block_of), probs)
+    masses = np.bincount(p.block_of, weights=probs, minlength=p.num_blocks)
     # probs may sum to 1 + PROB_SUM_TOL, so one block's mass may pass 1
     return float(1.0 - distribution_purity(np.minimum(masses, 1.0)))
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .linalg import EQ_TOL, DimensionMismatchError, ValidationError
-from .states import TRACE_TOL, Pvm
+from .states import TRACE_TOL, Pvm, pvm_traces
 
 # The only gate on a pair: PrePostPair refuses |<phi|psi>| at or below it (exit 6)
 # and accepts every pair of unit vectors above it. Weak values then carry a relative
@@ -61,24 +61,21 @@ def pre_post_state(pair: PrePostPair) -> np.ndarray:
 
 
 def weak_values(rho: np.ndarray, pvm: Pvm) -> np.ndarray:
-    """Quasi-probabilities w_i = tr(B_i rho) of a pre_post_state matrix.
+    """Quasi-probabilities w_i = tr(B_i rho) of a pre_post_state matrix, the post-selected
+    counterpart of states.outcome_probabilities.
 
     They sum to 1 only up to ||E||_2 / |<phi|psi>|, where E = sum_i B_i - I is
     the PVM's deviation from the identity, which the PVM tolerance lets be nonzero.
     """
-    dim = rho.shape[-1]
-    if pvm.dim != dim:
-        raise DimensionMismatchError(f"PVM dim {pvm.dim} vs state dim {dim}")
-    return np.einsum("kij,ji->k", pvm.blocks, rho)
+    return pvm_traces(rho, pvm)
 
 
-def abl_probabilities(rho: np.ndarray, pvm: Pvm) -> dict:
-    """|w_i|^2 outcome weights, raw and normalized.
+def abl_probabilities(w: np.ndarray) -> dict:
+    """|w_i|^2 outcome weights of the weak values w, raw and normalized.
 
     The raw vector is the textbook-free form |tr(B_i rho)|^2; the normalized
     vector divides by its sum so consumers get an actual distribution.
     """
-    w = weak_values(rho, pvm)
     raw = np.abs(w) ** 2
     total = float(np.sum(raw))
     if total < 1e-15:
@@ -86,15 +83,14 @@ def abl_probabilities(rho: np.ndarray, pvm: Pvm) -> dict:
     return {"raw": raw, "normalized": raw / total}
 
 
-def postselected_logical_entropy(rho: np.ndarray, pvm: Pvm) -> float:
-    """sum_i |w_i|^2 |1 - w_i|^2; non-negative by construction."""
-    w = weak_values(rho, pvm)
+def postselected_logical_entropy(w: np.ndarray) -> float:
+    """sum_i |w_i|^2 |1 - w_i|^2 of the weak values w; non-negative by construction."""
     return float(np.sum((np.abs(w) ** 2) * (np.abs(1.0 - w) ** 2)))
 
 
-def weak_logical_entropy(rho: np.ndarray, pvm: Pvm) -> complex:
-    """sum_i w_i (1 - w_i); may be complex-valued."""
-    w = weak_values(rho, pvm)
+def weak_logical_entropy(w: np.ndarray) -> complex:
+    """sum_i w_i (1 - w_i) of the weak values w; may be complex-valued. The weak-value
+    twin of 1 - partitions.distribution_purity(q)."""
     return complex(np.sum(w * (1.0 - w)))
 
 
@@ -104,8 +100,9 @@ def relation_diagnostic(rho: np.ndarray, pvm: Pvm) -> dict:
     The two coincide only in special cases (e.g. a single effective outcome);
     this diagnostic reports both sides and never asserts equality.
     """
-    left = postselected_logical_entropy(rho, pvm)
-    weak = weak_logical_entropy(rho, pvm)
+    w = weak_values(rho, pvm)
+    left = postselected_logical_entropy(w)
+    weak = weak_logical_entropy(w)
     right = abs(weak) ** 2
     diff = abs(left - right)
     return {

@@ -291,11 +291,17 @@ def logical_entropy(rho: DensityMatrix) -> float:
     return 1.0 - purity(rho)
 
 
+def pvm_traces(m: np.ndarray, pvm: Pvm) -> np.ndarray:
+    """tr(B_i m) for each block of the PVM, for any (d, d) matrix m: the outcome
+    probabilities of a density matrix, the weak values of a pre/post-selected one."""
+    dim = m.shape[-1]
+    if pvm.dim != dim:
+        raise DimensionMismatchError(f"PVM dim {pvm.dim} vs state dim {dim}")
+    return np.einsum("kij,ji->k", pvm.blocks, m)
+
+
 def outcome_probabilities(rho: DensityMatrix, pvm: Pvm) -> np.ndarray:
-    if pvm.dim != rho.dim:
-        raise DimensionMismatchError(f"PVM dim {pvm.dim} vs state dim {rho.dim}")
-    q = np.einsum("kij,ji->k", pvm.blocks, rho.mat).real
-    return np.clip(q, 0.0, 1.0)
+    return np.clip(pvm_traces(rho.mat, pvm).real, 0.0, 1.0)
 
 
 def measured_state(rho: DensityMatrix, pvm: Pvm) -> DensityMatrix:

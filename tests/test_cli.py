@@ -452,6 +452,18 @@ class TestExitCodes:
         )
         assert code == 4
 
+    @pytest.mark.parametrize("command", [
+        ["entropy", "--in", "plus_density.json"],
+        ["sample", "--in", "plus_density.json"],
+        ["postselect", "--pre", "pre_plus.json", "--post", "post_zero.json"],
+    ])
+    def test_pvm_of_another_dimension(self, files, capsys, tmp_path, command):
+        # every command that measures with a PVM names both dimensions in one line
+        pvm3 = tmp_path / "pvm3.json"
+        write_pvm(pvm3, Pvm.computational(3))
+        argv = [files.get(a, a) for a in command] + ["--pvm", str(pvm3)]
+        assert run(capsys, argv) == (4, "", "dimension mismatch: PVM dim 3 vs state dim 2\n")
+
 
 class TestUsageErrors:
     """argparse's own errors print one stderr line and exit 2; --help still works."""

@@ -2,6 +2,7 @@ import functools
 import itertools
 import threading
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -113,6 +114,54 @@ class TestPartitionEntropy:
         assert pt.partition_logical_entropy(fine) >= pt.partition_logical_entropy(
             coarse
         )
+
+
+class TestEntropyForms:
+    """The partition entropy is the exact dit-count form; block_mass_entropy generalises it
+    to weighted elements and, on the discrete partition, is the distribution entropy."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(partition_strategy(max_n=40))
+    def test_partition_entropy_is_the_rounded_dit_fraction(self, labels):
+        p = pt.SetPartition.from_labels(labels)
+        n = p.universe_size
+        assert pt.partition_logical_entropy(p) == float(Fraction(pt.dit_count(p), n * n))
+
+    def test_uniform_block_masses_within_n_eps_of_the_dit_form(self):
+        rng = np.random.default_rng(6)
+        eps = np.finfo(float).eps
+        for n in range(1, 201):
+            for _ in range(5):
+                p = pt.SetPartition.from_labels(rng.integers(0, rng.integers(1, n + 1), n))
+                gap = pt.partition_logical_entropy(p) - pt.block_mass_entropy(p, np.full(n, 1 / n))
+                assert abs(gap) <= n * eps, (n, p)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 8, 64, 200])
+    def test_discrete_partition_gives_the_distribution_entropy(self, k):
+        rng = np.random.default_rng(k)
+        discrete = pt.SetPartition.from_labels(range(k))
+        for q in (rng.dirichlet(np.ones(k)), np.eye(k)[0], np.full(k, 1 / k)):
+            assert pt.block_mass_entropy(discrete, q) == pt.distribution_logical_entropy(q)
+
+    label = st.one_of(st.integers(0, 2), st.sampled_from(["0", "1", "a"]))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(label, label), min_size=1, max_size=10))
+    def test_refines_matches_block_containment(self, label_pairs):
+        def blocks(labels):
+            out: dict = {}
+            for u, lab in enumerate(labels):
+                out.setdefault(lab, set()).add(u)
+            return list(out.values())
+
+        def oracle(fine, coarse):
+            return all(any(a <= b for b in blocks(coarse)) for a in blocks(fine))
+
+        a_labels, b_labels = zip(*label_pairs)
+        # the pairs themselves label the common refinement of both
+        for fine, coarse in itertools.permutations([a_labels, b_labels, label_pairs], 2):
+            got = pt.SetPartition.from_labels(fine).refines(pt.SetPartition.from_labels(coarse))
+            assert got == oracle(fine, coarse)
 
 
 class TestDistributionEntropy:

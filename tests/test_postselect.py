@@ -5,7 +5,7 @@ import pytest
 
 from qlogent import postselect as ps
 from qlogent import states as qs
-from qlogent.sampling import sample_pvm, sample_state_vector, sample_unitary
+from qlogent.sampling import sample_density, sample_pvm, sample_state_vector, sample_unitary
 
 KET0 = np.array([1.0, 0.0])
 KET1 = np.array([0.0, 1.0])
@@ -133,18 +133,28 @@ class TestWeakValues:
             assert abs(np.sum(w) - 1.0) <= 1e-9
 
 
+@pytest.mark.parametrize("d", [2, 3, 4, 8, 16, 32, 64])
+@pytest.mark.parametrize("coarse", [False, True])
+def test_outcome_probabilities_are_the_clipped_real_weak_values(d, coarse):
+    # both are the one PVM-trace contraction states.pvm_traces, so they agree bit for bit
+    rho = sample_density(d, d)
+    pvm = sample_pvm(d, d, [d // 2, d - d // 2] if coarse else None)
+    q = qs.outcome_probabilities(rho, pvm)
+    assert q.tobytes() == np.clip(ps.weak_values(rho.mat, pvm).real, 0, 1).tobytes()
+
+
 class TestAblProbabilities:
     def test_no_postselection_deterministic(self):
-        abl = ps.abl_probabilities(pair_state(KET0, KET0), comp_pvm())
+        abl = ps.abl_probabilities(ps.weak_values(pair_state(KET0, KET0), comp_pvm()))
         assert np.allclose(abl["raw"], [1.0, 0.0], atol=1e-12)
         assert np.allclose(abl["normalized"], [1.0, 0.0], atol=1e-12)
 
     def test_plus_zero_pair(self):
-        abl = ps.abl_probabilities(pair_state(PLUS, KET0), comp_pvm())
+        abl = ps.abl_probabilities(ps.weak_values(pair_state(PLUS, KET0), comp_pvm()))
         assert np.allclose(abl["raw"], [1.0, 0.0], atol=1e-12)
 
     def test_complex_pair_balanced(self):
-        abl = ps.abl_probabilities(pair_state(PLUS, PHI_I), comp_pvm())
+        abl = ps.abl_probabilities(ps.weak_values(pair_state(PLUS, PHI_I), comp_pvm()))
         assert np.allclose(abl["raw"], [0.5, 0.5], atol=1e-12)
         assert np.allclose(abl["normalized"], [0.5, 0.5], atol=1e-12)
 
@@ -152,24 +162,24 @@ class TestAblProbabilities:
         for seed in range(20):
             pre = sample_state_vector(seed, 3, 6)
             post = sample_state_vector(seed, 3, 7)
-            abl = ps.abl_probabilities(pair_state(pre, post), sample_pvm(seed, 3))
+            abl = ps.abl_probabilities(ps.weak_values(pair_state(pre, post), sample_pvm(seed, 3)))
             assert abs(np.sum(abl["normalized"]) - 1.0) <= 1e-12
 
 
 class TestPostselectedEntropy:
     def test_zero_when_basis_contains_pre(self):
         assert ps.postselected_logical_entropy(
-            pair_state(KET0, KET0), comp_pvm()
+            ps.weak_values(pair_state(KET0, KET0), comp_pvm())
         ) == pytest.approx(0.0, abs=1e-12)
 
     def test_plus_zero_pair(self):
         assert ps.postselected_logical_entropy(
-            pair_state(PLUS, KET0), comp_pvm()
+            ps.weak_values(pair_state(PLUS, KET0), comp_pvm())
         ) == pytest.approx(0.0, abs=1e-12)
 
     def test_complex_pair(self):
         assert ps.postselected_logical_entropy(
-            pair_state(PLUS, PHI_I), comp_pvm()
+            ps.weak_values(pair_state(PLUS, PHI_I), comp_pvm())
         ) == pytest.approx(0.5, abs=1e-12)
 
     def test_non_negative(self):
@@ -177,7 +187,7 @@ class TestPostselectedEntropy:
             pre = sample_state_vector(seed, 3, 8)
             post = sample_state_vector(seed, 3, 9)
             value = ps.postselected_logical_entropy(
-                pair_state(pre, post), sample_pvm(seed, 3)
+                ps.weak_values(pair_state(pre, post), sample_pvm(seed, 3))
             )
             assert value >= -1e-12
 
@@ -186,7 +196,7 @@ class TestPostselectedEntropy:
         pre = sample_state_vector(3, 2)
         if abs(np.vdot(KET0, pre)) < 1e-6:
             pre = PLUS
-        value = ps.postselected_logical_entropy(pair_state(pre, KET0), comp_pvm())
+        value = ps.postselected_logical_entropy(ps.weak_values(pair_state(pre, KET0), comp_pvm()))
         assert value == pytest.approx(0.0, abs=1e-12)
 
     def test_modulus_identity(self):
@@ -198,7 +208,7 @@ class TestPostselectedEntropy:
             rho = pair_state(pre, post)
             w = ps.weak_values(rho, pvm)
             alt = float(np.sum(np.abs(w * (1.0 - w)) ** 2))
-            value = ps.postselected_logical_entropy(rho, pvm)
+            value = ps.postselected_logical_entropy(ps.weak_values(rho, pvm))
             # identical up to floating-point rounding of the two groupings
             assert value == pytest.approx(alt, rel=1e-13)
 
@@ -208,17 +218,17 @@ class TestWeakEntropy:
         for seed in range(20):
             psi = sample_state_vector(seed, 3, 12)
             pvm = sample_pvm(seed, 3)
-            value = ps.weak_logical_entropy(pair_state(psi, psi), pvm)
+            value = ps.weak_logical_entropy(ps.weak_values(pair_state(psi, psi), pvm))
             expected = qs.pvm_logical_entropy(qs.DensityMatrix.pure(psi), pvm)
             assert abs(value.imag) <= 1e-9
             assert value.real == pytest.approx(expected, abs=1e-9)
 
     def test_plus_zero_pair(self):
-        value = ps.weak_logical_entropy(pair_state(PLUS, KET0), comp_pvm())
+        value = ps.weak_logical_entropy(ps.weak_values(pair_state(PLUS, KET0), comp_pvm()))
         assert abs(value) <= 1e-12
 
     def test_complex_pair(self):
-        value = ps.weak_logical_entropy(pair_state(PLUS, PHI_I), comp_pvm())
+        value = ps.weak_logical_entropy(ps.weak_values(pair_state(PLUS, PHI_I), comp_pvm()))
         assert value == pytest.approx(1.0 + 0.0j, abs=1e-12)
 
     def test_matches_measured_generalized_state(self):
@@ -228,7 +238,7 @@ class TestWeakEntropy:
             post = sample_state_vector(seed, 3, 14)
             pvm = sample_pvm(seed, 3)
             rho = pair_state(pre, post)
-            value = ps.weak_logical_entropy(rho, pvm)
+            value = ps.weak_logical_entropy(ps.weak_values(rho, pvm))
             meas = sum(b @ rho @ b for b in pvm.blocks)
             oracle = np.trace(meas @ (np.eye(3) - meas))
             assert abs(value - oracle) <= 1e-9
