@@ -43,7 +43,7 @@ def cmd_entropy(args, rho, pvm=None):
     results = {
         "logical_entropy": logical_entropy(rho),
         "purity": purity(rho),
-        "eigenvalues": [float(v) for v in rho.eigenvalues()],
+        "eigenvalues": rho.eigenvalues(),
     }
     warnings: list[str] = []
     if pvm is not None:
@@ -137,9 +137,9 @@ def cmd_postselect(args, pre, post, pvm):
         )
     results = {
         "overlap": pair.overlap,
-        "weak_values": [complex(x) for x in w],
-        "abl_raw": [float(x) for x in abl["raw"]],
-        "abl_normalized": [float(x) for x in abl["normalized"]],
+        "weak_values": w,
+        "abl_raw": abl["raw"],
+        "abl_normalized": abl["normalized"],
         "postselected_logical_entropy": diag["postselected_entropy"],
         "weak_logical_entropy": diag["weak_entropy"],
         "relation_diagnostic": {

@@ -65,11 +65,11 @@ def hs_norm_sq(m: np.ndarray) -> np.ndarray:
     return np.einsum("...ij,...ij->...", m, m.conj()).real
 
 
-def require_hermitian(m: np.ndarray, tol: float = HERMITICITY_TOL) -> np.ndarray:
+def require_hermitian(m: np.ndarray) -> np.ndarray:
     m = as_stack(m)
     defect = hermiticity_defect(m)
-    if not defect <= tol:  # a NaN defect fails too
-        raise ValidationError(f"hermiticity defect {defect:.3e} exceeds {tol:.1e}")
+    if not defect <= HERMITICITY_TOL:  # a NaN defect fails too
+        raise ValidationError(f"hermiticity defect {defect:.3e} exceeds {HERMITICITY_TOL:.1e}")
     return m
 
 
@@ -134,11 +134,11 @@ def hermitian_eigvals(m: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(_eig_input(m))[..., ::-1]
 
 
-def clamp_psd_eigvals(values: np.ndarray, tol: float = PSD_TOL) -> np.ndarray:
-    """Clamp eigenvalues in [-tol, 0) to zero; reject anything below -tol."""
+def clamp_psd_eigvals(values: np.ndarray) -> np.ndarray:
+    """Clamp eigenvalues in [-PSD_TOL, 0) to zero; reject anything below -PSD_TOL."""
     low = float(np.min(values))
-    if low < -tol:
-        raise ValidationError(f"eigenvalue {low:.3e} below -{tol:.1e}")
+    if low < -PSD_TOL:
+        raise ValidationError(f"eigenvalue {low:.3e} below -{PSD_TOL:.1e}")
     return np.maximum(values, 0.0)
 
 

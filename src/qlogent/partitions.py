@@ -26,19 +26,18 @@ MC_MIN_SHARE = 1 << 16  # fewest first-chunk pairs per worker thread: the measur
 class SetPartition:
     """Partition of {0..n-1} stored as an element -> block map.
 
-    Block labels are normalized by first occurrence, so two partitions with
-    the same blocks compare equal regardless of input labeling.
+    Built from any hashable label per element, renumbered 0..k-1 by first occurrence,
+    so two partitions with the same blocks compare equal regardless of input labeling.
     """
 
     block_of: tuple[int, ...]
 
-    @classmethod
-    def from_labels(cls, labels) -> "SetPartition":
-        labels = list(labels)
+    def __post_init__(self) -> None:
+        labels = list(self.block_of)
         if not labels:
             raise ValueError("partition of an empty set is not supported")
         relabel = {lab: i for i, lab in enumerate(dict.fromkeys(labels))}
-        return cls(tuple(relabel[lab] for lab in labels))
+        object.__setattr__(self, "block_of", tuple(relabel[lab] for lab in labels))
 
     @classmethod
     def from_blocks(cls, blocks: list[list[int]]) -> "SetPartition":
@@ -51,7 +50,7 @@ class SetPartition:
                 if not 0 <= u < n or labels[u] != -1:
                     raise ValueError(f"element {u} missing or assigned twice")
                 labels[u] = i
-        return cls.from_labels(labels)
+        return cls(labels)
 
     @property
     def universe_size(self) -> int:
@@ -62,7 +61,7 @@ class SetPartition:
         return max(self.block_of) + 1
 
     def block_sizes(self) -> np.ndarray:
-        return np.bincount(self.block_of, minlength=self.num_blocks)
+        return np.bincount(self.block_of)
 
     def refines(self, other: "SetPartition") -> bool:
         """True if every block of self is contained in a block of other."""
@@ -116,7 +115,7 @@ def block_mass_entropy(p: SetPartition, probs) -> float:
     probs = as_probability_vector(probs)
     if probs.size != p.universe_size:
         raise ValueError("probability vector size must match the universe")
-    masses = np.bincount(p.block_of, weights=probs, minlength=p.num_blocks)
+    masses = np.bincount(p.block_of, weights=probs)
     # probs may sum to 1 + PROB_SUM_TOL, so one block's mass may pass 1
     return float(1.0 - distribution_purity(np.minimum(masses, 1.0)))
 

@@ -179,15 +179,15 @@ def run_report(
     args: dict,
     inputs: dict,
     results: dict,
-    warnings: list[str] | None = None,
-    seed: int | None = None,
+    warnings: list[str],
+    seed: int | None,
 ) -> dict:
     return {
         "command": command,
         "args": args,
         "inputs": inputs,
         "results": results,
-        "warnings": warnings or [],
+        "warnings": warnings,
         "seed": seed,
         "tool": {"name": TOOL_NAME, "version": __version__},
     }

@@ -36,9 +36,45 @@ def partition_strategy(max_n=12):
 
 class TestSetPartition:
     def test_canonical_labels(self):
-        a = pt.SetPartition.from_labels([5, 5, 2, 2, 9])
-        b = pt.SetPartition.from_labels([0, 0, 1, 1, 2])
+        a = pt.SetPartition([5, 5, 2, 2, 9])
+        b = pt.SetPartition([0, 0, 1, 1, 2])
         assert a == b
+
+    def test_constructor_renumbers_labels(self):
+        one_block = pt.SetPartition((1, 1))
+        assert one_block == pt.SetPartition((0, 0))
+        assert hash(one_block) == hash(pt.SetPartition((0, 0)))
+        assert one_block.num_blocks == 1
+        assert list(one_block.block_sizes()) == [2]
+        assert pt.SetPartition("aab") == pt.SetPartition((0, 0, 1))
+
+    def test_rejects_the_empty_set(self):
+        with pytest.raises(ValueError, match=r"^partition of an empty set is not supported$"):
+            pt.SetPartition(())
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        partition_strategy().flatmap(
+            lambda labels: st.tuples(
+                st.just(labels),
+                st.lists(
+                    st.one_of(st.integers(), st.text(max_size=3)),
+                    min_size=len(labels),
+                    max_size=len(labels),
+                    unique=True,
+                ),
+            )
+        )
+    )
+    def test_injective_renaming_gives_the_same_partition(self, labels_and_names):
+        labels, names = labels_and_names
+        p = pt.SetPartition(labels)
+        renamed = pt.SetPartition(names[lab] for lab in labels)
+        assert renamed == p and hash(renamed) == hash(p)
+        probs = np.random.default_rng(len(labels)).dirichlet(np.ones(len(labels)))
+        assert pt.dit_count(renamed) == pt.dit_count(p)
+        assert pt.partition_logical_entropy(renamed) == pt.partition_logical_entropy(p)
+        assert pt.block_mass_entropy(renamed, probs) == pt.block_mass_entropy(p, probs)
 
     def test_from_blocks(self):
         p = pt.SetPartition.from_blocks([[0, 1], [2, 3], [4, 5]])
@@ -63,17 +99,17 @@ class TestDitCount:
         assert pt.dit_count(p) == dit_count_oracle(p)
 
     def test_indiscrete(self):
-        p = pt.SetPartition.from_labels([0] * 6)
+        p = pt.SetPartition([0] * 6)
         assert pt.dit_count(p) == 0
 
     def test_discrete(self):
-        p = pt.SetPartition.from_labels(range(6))
+        p = pt.SetPartition(range(6))
         assert pt.dit_count(p) == 30
 
     @settings(max_examples=200, deadline=None)
     @given(partition_strategy())
     def test_against_pair_enumeration_oracle(self, labels):
-        p = pt.SetPartition.from_labels(labels)
+        p = pt.SetPartition(labels)
         assert pt.dit_count(p) == dit_count_oracle(p)
 
 
@@ -84,19 +120,19 @@ class TestPartitionEntropy:
 
     def test_discrete_partition(self):
         for n in range(2, 8):
-            p = pt.SetPartition.from_labels(range(n))
+            p = pt.SetPartition(range(n))
             assert pt.partition_logical_entropy(p) == pytest.approx(
                 1 - 1 / n, abs=1e-15
             )
 
     def test_indiscrete_partition(self):
-        p = pt.SetPartition.from_labels([0] * 5)
+        p = pt.SetPartition([0] * 5)
         assert pt.partition_logical_entropy(p) == 0.0
 
     @settings(max_examples=200, deadline=None)
     @given(partition_strategy())
     def test_pair_count_matches_block_mass_formula(self, labels):
-        p = pt.SetPartition.from_labels(labels)
+        p = pt.SetPartition(labels)
         n = p.universe_size
         from_formula = 1 - float(np.sum((p.block_sizes() / n) ** 2))
         assert abs(pt.partition_logical_entropy(p) - from_formula) <= 1e-12
@@ -104,12 +140,12 @@ class TestPartitionEntropy:
     @settings(max_examples=200, deadline=None)
     @given(partition_strategy(), st.randoms(use_true_random=False))
     def test_refinement_monotonicity(self, labels, rnd):
-        coarse = pt.SetPartition.from_labels(labels)
+        coarse = pt.SetPartition(labels)
         # split every block into random sub-blocks: result refines the original
         fine_labels = [
             (coarse.block_of[u], rnd.randint(0, 1)) for u in range(coarse.universe_size)
         ]
-        fine = pt.SetPartition.from_labels(fine_labels)
+        fine = pt.SetPartition(fine_labels)
         assert fine.refines(coarse)
         assert pt.partition_logical_entropy(fine) >= pt.partition_logical_entropy(
             coarse
@@ -123,7 +159,7 @@ class TestEntropyForms:
     @settings(max_examples=200, deadline=None)
     @given(partition_strategy(max_n=40))
     def test_partition_entropy_is_the_rounded_dit_fraction(self, labels):
-        p = pt.SetPartition.from_labels(labels)
+        p = pt.SetPartition(labels)
         n = p.universe_size
         assert pt.partition_logical_entropy(p) == float(Fraction(pt.dit_count(p), n * n))
 
@@ -132,14 +168,14 @@ class TestEntropyForms:
         eps = np.finfo(float).eps
         for n in range(1, 201):
             for _ in range(5):
-                p = pt.SetPartition.from_labels(rng.integers(0, rng.integers(1, n + 1), n))
+                p = pt.SetPartition(rng.integers(0, rng.integers(1, n + 1), n))
                 gap = pt.partition_logical_entropy(p) - pt.block_mass_entropy(p, np.full(n, 1 / n))
                 assert abs(gap) <= n * eps, (n, p)
 
     @pytest.mark.parametrize("k", [1, 2, 3, 8, 64, 200])
     def test_discrete_partition_gives_the_distribution_entropy(self, k):
         rng = np.random.default_rng(k)
-        discrete = pt.SetPartition.from_labels(range(k))
+        discrete = pt.SetPartition(range(k))
         for q in (rng.dirichlet(np.ones(k)), np.eye(k)[0], np.full(k, 1 / k)):
             assert pt.block_mass_entropy(discrete, q) == pt.distribution_logical_entropy(q)
 
@@ -160,7 +196,7 @@ class TestEntropyForms:
         a_labels, b_labels = zip(*label_pairs)
         # the pairs themselves label the common refinement of both
         for fine, coarse in itertools.permutations([a_labels, b_labels, label_pairs], 2):
-            got = pt.SetPartition.from_labels(fine).refines(pt.SetPartition.from_labels(coarse))
+            got = pt.SetPartition(fine).refines(pt.SetPartition(coarse))
             assert got == oracle(fine, coarse)
 
 
@@ -204,7 +240,7 @@ class TestDistributionEntropy:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite(self, bad):
-        pair = pt.SetPartition.from_labels([0, 1])
+        pair = pt.SetPartition([0, 1])
         for call in (
             pt.distribution_logical_entropy,
             lambda q: pt.block_mass_entropy(pair, q),
@@ -215,7 +251,7 @@ class TestDistributionEntropy:
 
     def test_one_block_over_a_sum_within_tolerance_has_zero_entropy(self):
         # the probabilities pass as_probability_vector but sum to 1 + 6e-10
-        one = pt.SetPartition.from_labels([0, 0])
+        one = pt.SetPartition([0, 0])
         assert pt.block_mass_entropy(one, [0.5 + 3e-10, 0.5 + 3e-10]) == 0.0
 
     def test_block_mass_entropy_reduces_to_partition_entropy(self):
