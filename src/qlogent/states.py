@@ -24,12 +24,12 @@ from .partitions import distribution_purity
 
 TRACE_TOL = 1e-9
 OUTCOME_EPS = 1e-12
-# Pvm.__init__ certifies orthogonality with one eigensolve (_certified_orthogonal) only
-# from this many pairs k(k-1)/2 on. In-process on a 2-vCPU box, one BLAS thread, scan vs
-# certificate: it lost at 28-45 pairs below d = 16 (fine d = 8: 0.12 vs 0.16 ms), tied at
-# 55-78 (fine d = 11-13), and won from 91 (fine d = 14: 0.39 vs 0.35 ms; d = 16: 0.54 vs
-# 0.42 ms), medians of 41; fine d = 64: 75 vs 4.2 ms, best of 9. 28 pairs keep the
-# 8-outcome PVM of sample on the scan.
+# Pvm.__init__ tries its one-eigensolve certificate (_certificate) only from this many
+# pairs k(k-1)/2 on. Measured when it certified orthogonality alone, in-process on a
+# 2-vCPU box, one BLAS thread, scan vs certificate: it lost at 28-45 pairs below d = 16
+# (fine d = 8: 0.12 vs 0.16 ms), tied at 55-78 (fine d = 11-13), and won from 91 (fine
+# d = 14: 0.39 vs 0.35 ms; d = 16: 0.54 vs 0.42 ms), medians of 41; fine d = 64: 75 vs
+# 4.2 ms, best of 9. 28 pairs keep the 8-outcome PVM of sample on the scan.
 CERTIFY_MIN_PAIRS = 78
 
 
@@ -41,18 +41,20 @@ class DensityMatrix:
     clamping them; anything worse is rejected, not repaired. Only one matrix
     is validated; a trusted DensityMatrix may hold an (n, d, d) stack, for
     which reduced, purity, logical_entropy, the logical divergences and the
-    relative logical entropy give one result per state.
+    relative logical entropy give one result per state. A validated matrix keeps the
+    spectrum its validation computed, which eigenvalues() returns.
     """
 
-    __slots__ = ("mat", "dims")
+    __slots__ = ("mat", "dims", "_eigenvalues")
 
     def __init__(self, mat, dims: tuple[int, ...] | None = None):
         rho = DensityMatrix.trusted(la.as_matrix(mat), dims)
-        self.mat = self._validated(rho.mat)
+        self.mat, self._eigenvalues = self._validated(rho.mat)
         self.dims = rho.dims
 
     @staticmethod
-    def _validated(mat: np.ndarray) -> np.ndarray:
+    def _validated(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(validated matrix, its hermitian_eigvals)"""
         # entries near the float limit overflow here; the finiteness check says so
         with np.errstate(over="ignore", invalid="ignore"):
             defect = la.hermiticity_defect(mat)
@@ -65,10 +67,11 @@ class DensityMatrix:
         if abs(tr - 1.0) > TRACE_TOL:
             raise ValidationError(f"trace {tr} differs from 1 beyond {TRACE_TOL:.1e}")
         mat = mat / tr
-        low = float(np.min(hermitian_eigvals(mat)))
+        values = hermitian_eigvals(mat)
+        low = float(np.min(values))
         if low < -PSD_TOL:
             raise ValidationError(f"negative eigenvalue {low:.3e} beyond -{PSD_TOL:.1e}")
-        return mat
+        return mat, values
 
     @classmethod
     def trusted(cls, mat, dims: tuple[int, ...] | None = None) -> "DensityMatrix":
@@ -76,6 +79,7 @@ class DensityMatrix:
         channels); mat is kept as given, unchecked, so it must already be a complex array."""
         rho = cls.__new__(cls)
         rho.mat = mat
+        rho._eigenvalues = None
         rho.dims = None if dims is None else tuple(int(d) for d in dims)
         # math.prod is exact, unlike np.prod; negative dims may still multiply to dim
         if rho.dims is not None and (min(rho.dims, default=1) < 1 or math.prod(rho.dims) != rho.dim):
@@ -97,7 +101,10 @@ class DensityMatrix:
         return self.dims
 
     def eigenvalues(self) -> np.ndarray:
-        return hermitian_eigvals(self.mat)
+        """hermitian_eigvals(self.mat), a copy of the validation's for a validated matrix."""
+        if self._eigenvalues is None:
+            return hermitian_eigvals(self.mat)
+        return self._eigenvalues.copy()
 
     def reduced(self, keep: str) -> "DensityMatrix":
         """Reduced state of factor 'A' or 'B' of a bipartite state."""
@@ -139,23 +146,24 @@ def _first_overlap(blocks: np.ndarray) -> tuple[int, int] | None:
     return None
 
 
-def _certified_orthogonal(blocks: np.ndarray) -> bool:
-    """True only if _first_overlap(blocks) would return None, by the bound in the Pvm
-    docstring; False when k(k-1)/2 < CERTIFY_MIN_PAIRS or the bound cannot show it. Calls
-    numpy only, so perfbench's tracer files its time under Pvm.__init__."""
+def _certificate(blocks: np.ndarray) -> tuple[bool, bool]:
+    """(checks, pairs): True only if _check_blocks(blocks), respectively _first_overlap(blocks),
+    would pass, by the bounds in the Pvm docstring; both False when k(k-1)/2 <
+    CERTIFY_MIN_PAIRS or the spectrum does not group. Calls numpy only, so perfbench's
+    tracer files its time under Pvm.__init__."""
     k, dim = blocks.shape[:2]
     if k * (k - 1) // 2 < CERTIFY_MIN_PAIRS:
-        return False
+        return False, False
     try:
         lam, v = np.linalg.eigh(np.tensordot(np.arange(k, dtype=float), blocks, 1))
     except np.linalg.LinAlgError:
-        return False
+        return False, False
     labels = np.rint(lam)
     if not (np.all(np.abs(lam - labels) <= 0.25) and labels.min() >= 0 and labels.max() < k):
-        return False
+        return False, False
     counts = np.bincount(labels.astype(int), minlength=k)
     if not counts.all():
-        return False
+        return False, False
     delta2 = 0.0
     # eigh sorts the eigenvalues, so group i is the next counts[i] columns
     for b, u in zip(blocks, np.split(v, np.cumsum(counts)[:-1], axis=1)):
@@ -171,19 +179,35 @@ def _certified_orthogonal(blocks: np.ndarray) -> bool:
     delta = grow * math.sqrt(delta2) + g * s
     eta = grow * math.sqrt(eta2) + g * s
     nu = grow * math.sqrt(nu2)
-    bound = delta * nu + (1 + eta) * delta + eta * (1 + eta) + g * nu * nu
-    return bool(bound * (1 + 16 * eps) <= HERMITICITY_TOL)
+    pairs = delta * nu + (1 + eta) * delta + eta * (1 + eta) + g * nu * nu
+    g_k = 2 * (k + 1) * eps
+    checks = max(2 * delta, pairs + delta, eta + k * delta + g_k * k * nu)
+    margin = 1 + 16 * eps
+    return bool(margin * checks <= HERMITICITY_TOL), bool(margin * pairs <= HERMITICITY_TOL)
+
+
+def _check_blocks(blocks: np.ndarray) -> None:
+    """Pvm's checks of each block for Hermiticity and idempotence, then of the sum for
+    identity, each within HERMITICITY_TOL, in that order."""
+    require_hermitian(blocks)
+    bad = _max_abs(blocks @ blocks - blocks) > HERMITICITY_TOL
+    if bad.any():
+        raise ValidationError(f"block {np.argmax(bad)} not idempotent")
+    if np.max(np.abs(np.sum(blocks, axis=0) - np.eye(blocks.shape[1]))) > HERMITICITY_TOL:
+        raise ValidationError("PVM blocks do not sum to identity")
 
 
 class Pvm:
     """Mutually orthogonal projectors summing to identity, stacked as blocks of shape (k, d, d).
 
-    The constructor checks each block for bounded entries, Hermiticity and idempotence,
-    and the sum for identity, each within HERMITICITY_TOL. Orthogonality, every entry of
-    every product B_i B_j (i < j) at most HERMITICITY_TOL, is first certified in O(k d^2
-    + d^3) by _certified_orthogonal; only when that fails do the k(k-1)/2 products of
-    _first_overlap run, and they alone accept or reject, so both paths accept the same
-    blocks and raise the same errors.
+    The constructor first checks every entry of every block to be at most 1 +
+    HERMITICITY_TOL in magnitude. Then _check_blocks checks each block for Hermiticity and
+    idempotence and the sum for identity, and _first_overlap checks orthogonality, every
+    entry of every product B_i B_j (i < j), with k(k-1)/2 products; each within
+    HERMITICITY_TOL. One eigendecomposition, _certificate, in O(k d^2 + d^3), can show in
+    advance that _check_blocks, and apart from it that _first_overlap, would pass. A check
+    it shows is skipped; every other one runs, in the order above, and alone accepts or
+    rejects, so all paths accept the same blocks and raise the same errors.
 
     The certificate. Let V be the eigenvectors of H = sum_i i B_i as LAPACK returns them,
     grouped by nearest integer eigenvalue into column blocks U_i (every eigenvalue within
@@ -193,22 +217,37 @@ class Pvm:
     where ||U_i||_2^2 <= ||V||_2^2 <= 1 + eta and U_i^dagger U_j (i != j) is a block of
     V^dagger V - I, so
         max entry |B_i B_j| <= ||B_i B_j||_2 <= delta nu + (1 + eta) delta + eta (1 + eta).
-    Nothing here uses how V was found: a wrong V or grouping only makes the bound large.
+    In the same way, as Q_i is Hermitian, U_i^dagger U_i - I is a diagonal block of
+    V^dagger V - I, the groups hold all d columns and ||V V^dagger - I||_2 = ||V^dagger V -
+    I||_2 for the square V,
+        B_i - B_i^dagger = E_i - E_i^dagger,                  entries <= 2 delta,
+        B_i^2 - B_i = B_i E_i + E_i Q_i - E_i + U_i (U_i^dagger U_i - I) U_i^dagger,
+                           entries <= delta nu + (1 + eta) delta + eta (1 + eta) + delta,
+        sum_i B_i - I = (V V^dagger - I) + sum_i E_i,         entries <= eta + k delta.
+    Nothing here uses how V was found: a wrong V or grouping only makes the bounds large.
 
     Rounding. With eps the machine epsilon, a complex dot product of length m <= d is off
     by at most g sum |x_l||y_l|, g = 2 (d + 1) eps (sqrt 2 gamma_2d). So fl(Q_i) and
     fl(V^dagger V) are within g ||V||_F^2 of Q_i and V^dagger V in Frobenius norm, and
-    each entry of the scan's fl(B_i B_j) within g nu^2 of B_i B_j, since rows and columns
-    of B have norm at most nu. A Frobenius norm computed as the root of a dot product of a
-    difference is at most (d^2 + 2) eps relatively below the true one; it is scaled up by
-    grow = 1 + 2 (d^2 + 2) eps, and so is the computed ||V||_F^2, giving s. Thus with
+    each entry of fl(B_i B_j), i = j included, within g nu^2 of B_i B_j, since rows and
+    columns of B have norm at most nu. Likewise each entry of fl(sum_i B_i) is within
+    g_k sum_i |(B_i)_ab| <= g_k k nu of the exact sum, g_k = 2 (k + 1) eps. A Frobenius
+    norm computed as the root of a dot product of a difference is at most (d^2 + 2) eps
+    relatively below the true one; it is scaled up by grow = 1 + 2 (d^2 + 2) eps, and so
+    is the computed ||V||_F^2, giving s. Thus with
         delta' = grow delta^ + g s,  eta' = grow eta^ + g s,  nu' = grow nu^
-    from the computed delta^, eta^, nu^, every entry of fl(B_i B_j) is at most
-        delta' nu' + (1 + eta') delta' + eta' (1 + eta') + g nu'^2,
-    and the certificate accepts when this, times 1 + 16 eps for the modulus and the few
-    roundings of the formula itself, is at most HERMITICITY_TOL. For a fine d = 64 PVM
-    from a QR basis the bound of exact arithmetic is about 1e-13 and the whole 6e-12,
-    mostly rounding margin.
+    from the computed delta^, eta^, nu^, every entry the checks compute, each a rounded
+    difference of the computed terms above, is at most
+        fl(B_i B_j)             P = delta' nu' + (1 + eta') delta' + eta' (1 + eta') + g nu'^2
+        fl(B_i - B_i^dagger)    2 delta'
+        fl(fl(B_i B_i) - B_i)   P + delta'
+        fl(fl(sum_i B_i) - I)   eta' + k delta' + g_k k nu'
+    before the roundings of that difference, of its modulus and of the formula itself,
+    for which each is multiplied by 1 + 16 eps. The certificate shows _first_overlap when
+    P, and _check_blocks when the largest of the other three, so multiplied, is at most
+    HERMITICITY_TOL. For a fine d = 64 PVM from a QR basis the bound of exact arithmetic on
+    the products is about 1e-13 and P about 6e-12, mostly rounding margin; the sum's
+    bound, k delta' alone, is about 1.2e-10.
     """
 
     __slots__ = ("blocks", "non_degenerate")
@@ -228,13 +267,10 @@ class Pvm:
             raise ValidationError(
                 f"block {np.argmax(bad)} has non-finite entries or entries above 1"
             )
-        require_hermitian(blocks)
-        bad = _max_abs(blocks @ blocks - blocks) > HERMITICITY_TOL
-        if bad.any():
-            raise ValidationError(f"block {np.argmax(bad)} not idempotent")
-        if np.max(np.abs(np.sum(blocks, axis=0) - np.eye(dim))) > HERMITICITY_TOL:
-            raise ValidationError("PVM blocks do not sum to identity")
-        overlap = None if _certified_orthogonal(blocks) else _first_overlap(blocks)
+        checks, pairs = _certificate(blocks)
+        if not checks:
+            _check_blocks(blocks)
+        overlap = None if pairs else _first_overlap(blocks)
         if overlap is not None:
             raise ValidationError("blocks {},{} not orthogonal".format(*overlap))
         self.blocks = blocks

@@ -1,14 +1,26 @@
 import threading
+import warnings
 
 import numpy as np
 import pytest
 
 from qlogent import partitions as pt
 
+# hypothesis imports its patch helper only when it reports a failing example, and with
+# mypy_extensions installed that import warns; pyproject's filterwarnings = ["error"] turned
+# the warning into an INTERNALERROR that hid the example. Imported once here, it is cached
+try:
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DeprecationWarning)
+        import hypothesis.extra._patching  # noqa: F401
+except ImportError:
+    pass
+
 
 @pytest.fixture
 def started_threads(monkeypatch):
-    """List that collects every thread the CPU split (partitions._split_over_cpus) starts."""
+    """List that collects every thread started through threading.Thread: the CPU split's
+    (partitions._split_over_cpus) and the file hash's (reports._read_entries)."""
     started = []
 
     class CountingThread(threading.Thread):

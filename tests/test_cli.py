@@ -1,5 +1,6 @@
 import argparse
 import gc
+import hashlib
 import json
 import os
 import re
@@ -16,6 +17,8 @@ from hypothesis import strategies as st
 
 import qlogent
 from qlogent import cli, reports
+from qlogent import linalg as la
+from qlogent import states as qs
 from qlogent.linalg import DimensionMismatchError
 from qlogent.partitions import distribution_logical_entropy
 from qlogent.sampling import sample_density, sample_pvm, sample_state_vector, sample_unitary
@@ -845,6 +848,43 @@ def test_invalid_density_is_reported(capsys, tmp_path, name):
     assert run(capsys, ["entropy", "--in", str(path)]) == (3, "", err)
 
 
+def _perturbed_fine_pvm(defect):
+    """Blocks of a fine d = 16 PVM from a Haar basis, with block 5 made non-Hermitian or
+    non-idempotent by 2e-9, or turned by 1e-8 off its basis vector, so that the blocks no
+    longer sum to identity."""
+    basis = sample_unitary(16, 16)
+    blocks = np.einsum("ik,jk->kij", basis, basis.conj())
+    if defect == "hermitian":
+        blocks[5, 0, 1] += 2e-9
+    elif defect == "idempotent":
+        blocks[5] += 2e-9 * np.eye(16)
+    elif defect == "sum":
+        u = basis[:, 5] + 1e-8 * basis[:, 6]
+        blocks[5] = np.outer(u, u.conj()) / np.vdot(u, u).real
+    return blocks
+
+
+# Exit 3 from the PVM checks that a certificate may skip: (defect, exact stderr)
+INVALID_FINE_PVMS = {
+    "hermitian": "validation error: hermiticity defect 2.000e-09 exceeds 1.0e-09\n",
+    "idempotent": "validation error: block 5 not idempotent\n",
+    "sum": "validation error: PVM blocks do not sum to identity\n",
+}
+
+
+@pytest.mark.parametrize("defect", sorted(INVALID_FINE_PVMS))
+def test_invalid_fine_pvm_is_reported(capsys, tmp_path, defect):
+    # the certificate shows the drawn blocks, so its bounds decide whether the checks run
+    assert qs._certificate(_perturbed_fine_pvm(None)) == (True, True)
+    blocks = _perturbed_fine_pvm(defect)
+    assert not qs._certificate(blocks)[0]
+    rho, pvm = tmp_path / "rho.json", tmp_path / "pvm.json"
+    reports.write_matrix_file(str(rho), "density", sample_density(1, 16).mat)
+    reports.write_matrix_file(str(pvm), "pvm", blocks)
+    argv = ["entropy", "--in", str(rho), "--pvm", str(pvm)]
+    assert run(capsys, argv) == (3, "", INVALID_FINE_PVMS[defect])
+
+
 def _object_dtype_decode(entries, ndim):
     """pairs_to_array as one object-dtype classification of the whole input."""
     a = np.array(entries, dtype=object)
@@ -867,20 +907,26 @@ _ODD_ENTRIES = st.sampled_from(
     [2**53 + 1, 2**70, 10**400, 1e308, -0.0, 5e-324, float("nan"), float("inf"),
      True, False, None, "1", [], {}]
 )
+# in place of a whole pair: pairs_to_array checks that level by len alone
+_ODD_PAIRS = [{"re": 1, "im": 0}, "10", 1, 0.5, None, True, False]
 
 
 @st.composite
 def _nested_pairs(draw):
     """(entries, ndim): a rectangular nest of [re, im] pairs of numbers, or one with a
-    defect: a level too many or too few, a wrong pair length, an empty or ragged list, or
-    an entry that is not a finite number."""
+    defect: a level too many or too few, a wrong pair length, an empty or ragged list, an
+    entry that is not a finite number, or a pair that is not a list."""
     ndim = draw(st.sampled_from([1, 2]))
-    defect = draw(st.sampled_from(["none", "none", "levels", "pair", "list", "entry"]))
+    defect = draw(
+        st.sampled_from(["none", "none", "levels", "pair", "list", "entry", "odd pair"])
+    )
     depth = ndim + (draw(st.sampled_from([-1, 1])) if defect == "levels" else 0)
     shape = draw(st.lists(st.integers(1, 3), min_size=depth, max_size=depth))
     shape.append(draw(st.sampled_from([0, 1, 3])) if defect == "pair" else 2)
 
     def build(level):
+        if level == len(shape) - 1 and defect == "odd pair" and draw(st.integers(0, 2)) == 0:
+            return draw(st.sampled_from(_ODD_PAIRS))
         if level == len(shape):
             odd = defect == "entry" and draw(st.integers(0, 3)) == 0
             return draw(_ODD_ENTRIES if odd else _NUMBERS)
@@ -903,6 +949,18 @@ def test_pairs_to_array_matches_the_object_dtype_classification(case):
     else:
         got = reports.pairs_to_array(entries, ndim)
         assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("odd", _ODD_PAIRS, ids=repr)
+@pytest.mark.parametrize("ndim", [1, 2])
+def test_odd_value_at_the_pair_level(ndim, odd):
+    pairs = [[0.5, 0], odd, [1, 2]]
+    entries = pairs if ndim == 1 else [pairs, [[1, 0]] * 3, [[0, 1]] * 3]
+    with pytest.raises(reports.ParseError) as expected:
+        _object_dtype_decode(entries, ndim)
+    with pytest.raises(reports.ParseError) as got:
+        reports.pairs_to_array(entries, ndim)
+    assert str(got.value) == str(expected.value)
 
 
 class TestMatrixFileRoundTrip:
@@ -989,6 +1047,67 @@ class TestCollectorPause:
         spy("Pvm", reports.Pvm)
         reports.load_matrix_file(files["comp_pvm.json"], "pvm")
         assert seen == [("pairs_to_array", False)] * 2 + [("Pvm", True)]
+
+
+@pytest.fixture(scope="module")
+def large_inputs(tmp_path_factory):
+    """A d = 32 state and fine PVM; the PVM file is above the threshold of the hash thread."""
+    tmp = tmp_path_factory.mktemp("large")
+    rho, pvm = tmp / "rho_32.json", tmp / "pvm_32.json"
+    reports.write_matrix_file(str(rho), "density", sample_density(3, 32).mat)
+    write_pvm(pvm, sample_pvm(3, 32))
+    assert rho.stat().st_size < reports.HASH_THREAD_MIN_BYTES <= pvm.stat().st_size
+    return rho, pvm
+
+
+class TestHashThread:
+    """A file of at least HASH_THREAD_MIN_BYTES is hashed on a second thread while json
+    scans it, a smaller one inline; the report holds hashlib's digest of its bytes."""
+
+    def test_digests_of_files_on_both_sides(self, capsys, large_inputs, started_threads):
+        rho, pvm = large_inputs
+        doc = run_json(capsys, ["entropy", "--in", str(rho), "--pvm", str(pvm)])
+        for name, path in (("rho", rho), ("pvm", pvm)):
+            digest = hashlib.sha256(path.read_bytes()).hexdigest()
+            assert doc["inputs"][name] == {"path": str(path), "sha256": digest}
+        assert len(started_threads) == 1 and not started_threads[0].is_alive()
+
+    @pytest.mark.parametrize("large", [True, False])
+    def test_hashing_error_is_raised(self, monkeypatch, large_inputs, started_threads, large):
+        class FailingHash:
+            def update(self, data):
+                raise RuntimeError("hashing failed")
+
+            def hexdigest(self):
+                raise AssertionError("a digest of a failed hash")
+
+        monkeypatch.setattr(reports.hashlib, "sha256", FailingHash)
+        rho, pvm = large_inputs
+        path, kind = (pvm, "pvm") if large else (rho, "density")
+        with pytest.raises(RuntimeError, match="^hashing failed$"):
+            reports.load_matrix_file(str(path), kind)
+        assert len(started_threads) == large
+        assert not any(t.is_alive() for t in started_threads)
+
+    def test_decode_error_wins_and_the_thread_is_joined(self, tmp_path, started_threads):
+        path = tmp_path / "truncated.json"
+        path.write_bytes(b'{"kind": "pvm", "blocks": [' + b" " * reports.HASH_THREAD_MIN_BYTES)
+        assert path.stat().st_size >= reports.HASH_THREAD_MIN_BYTES
+        with pytest.raises(reports.ParseError, match=f"^{re.escape(str(path))}: Expecting"):
+            reports.load_matrix_file(str(path), "pvm")
+        assert len(started_threads) == 1 and not started_threads[0].is_alive()
+
+
+def test_entropy_reports_the_validation_spectrum(monkeypatch, large_inputs):
+    rho, _ = reports.load_matrix_file(str(large_inputs[0]), "density")
+    solves = []
+    monkeypatch.setattr(qs, "hermitian_eigvals", lambda m: solves.append(m))
+    results, _ = cli.cmd_entropy(None, rho)
+    assert solves == []
+    expected = la.hermitian_eigvals(rho.mat)
+    assert results["eigenvalues"].tobytes() == expected.tobytes()
+    results["eigenvalues"][:] = 0.0
+    assert rho.eigenvalues().tobytes() == expected.tobytes()
 
 
 def test_fine_pvm_load_peak_stays_near_the_file_size(tmp_path):

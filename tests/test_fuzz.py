@@ -14,8 +14,13 @@ import contextlib
 import copy
 import io
 import json
+import os
+import subprocess
+import sys
+import textwrap
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -248,3 +253,31 @@ def test_huge_dim_is_refused_before_any_allocation():
         tracemalloc.stop()
     assert code == 4
     assert peak < 1 << 20
+
+
+_FAILING_PROPERTY = """
+from hypothesis import given, strategies as st
+
+
+@given(st.integers())
+def test_fails(x):
+    assert x < 5
+"""
+
+
+def test_failing_property_reports_its_example(tmp_path):
+    # under this suite's conftest and filterwarnings = ["error"], a falsified property fails
+    # its test (exit 1) and prints the example, instead of an INTERNALERROR (exit 3) from the
+    # warning an import in hypothesis's report hook may raise
+    tests = Path(__file__).resolve().parent
+    (tmp_path / "test_failing_property.py").write_text(textwrap.dedent(_FAILING_PROPERTY))
+    path = [str(tests), str(tests.parent / "src"), os.environ.get("PYTHONPATH", "")]
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-p", "conftest",
+         "-c", str(tests.parent / "pyproject.toml"), "--rootdir", str(tmp_path),
+         "test_failing_property.py"],
+        cwd=tmp_path, env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path))),
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert "Falsifying example" in proc.stdout

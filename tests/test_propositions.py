@@ -1,4 +1,7 @@
+import itertools
 import json
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -219,6 +222,24 @@ class TestBlocks:
                 assert v[t] == pytest.approx(qs.logical_entropy(rho) - bound, abs=1e-14)
 
 
+def exact_partial_trace(m, dims, keep):
+    """Partial trace of a square matrix of Fractions (nested lists, row-major factor
+    order) over the factors not in keep."""
+    index = list(itertools.product(*map(range, dims)))
+    kept = sorted({tuple(i[f] for f in keep) for i in index})
+    out = {(a, b): Fraction(0) for a in kept for b in kept}
+    for r, i in enumerate(index):
+        for c, j in enumerate(index):
+            if all(i[f] == j[f] for f in range(len(dims)) if f not in keep):
+                out[tuple(i[f] for f in keep), tuple(j[f] for f in keep)] += m[r][c]
+    return [[out[a, b] for b in kept] for a in kept]
+
+
+def exact_logical_entropy(m):
+    """1 - tr m^2 of a real symmetric matrix of Fractions."""
+    return 1 - sum(x * x for row in m for x in row)
+
+
 class TestStrongSubadditivity:
     def test_counterexample_found(self):
         cfg = pr.SamplerConfig(seed=7, trials=100, dims=(2,))
@@ -241,10 +262,24 @@ class TestStrongSubadditivity:
         rho = pr._ssa_witness()
         assert pr._ssa_gap(rho) == pytest.approx(0.25, abs=1e-12)
 
+    def test_witness_gap_is_exactly_a_quarter(self):
+        # in exact arithmetic on the Bell (x) I/2 state, and within 2 ulps in floats; so
+        # one float evaluation decides the search, far from SSA_MIN_VIOLATION
+        half, quarter = Fraction(1, 2), Fraction(1, 4)
+        bell = [[half * (i in (0, 3) and j in (0, 3)) for j in range(4)] for i in range(4)]
+        rho = [[bell[i // 2][j // 2] * half * (i % 2 == j % 2) for j in range(8)] for i in range(8)]
+        dims = (2, 2, 2)
+        h = {keep: exact_logical_entropy(exact_partial_trace(rho, dims, keep))
+             for keep in [(0, 1, 2), (1,), (0, 1), (1, 2)]}
+        assert h[0, 1, 2] + h[(1,)] - h[0, 1] - h[1, 2] == quarter
+        witness = pr._ssa_witness()
+        assert np.abs(witness.mat - np.array(rho, dtype=float)).max() <= math.ulp(0.25)
+        gap = pr._ssa_gap(witness)
+        assert abs(Fraction(gap) - quarter) <= 2 * Fraction(math.ulp(0.25))
+
     def test_failed_reverification_is_not_a_counterexample(self, monkeypatch, capsys):
-        # the first evaluation violates, the recomputation does not
-        gaps = iter([0.25, 0.0] * 2)
-        monkeypatch.setattr(pr, "_ssa_gap", lambda rho: next(gaps))
+        # a gap at the minimum violation does not count
+        monkeypatch.setattr(pr, "_ssa_gap", lambda rho: pr.SSA_MIN_VIOLATION)
         res = pr.strong_subadditivity_search(small_cfg())
         assert res.status == pr.STATUS_NOT_FOUND
         assert res.witness is None

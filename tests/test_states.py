@@ -305,7 +305,7 @@ class TestOrthogonalityCertificate:
             blocks = perturbed_projectors(dim, fine_or_coarse(dim, fine), eps, t)
             with_certificate = pvm_outcome(blocks)
             with monkeypatch.context() as m:
-                m.setattr(qs, "_certified_orthogonal", lambda blocks: False)
+                m.setattr(qs, "_certificate", lambda blocks: (False, False))
                 assert pvm_outcome(blocks) == with_certificate
             outcomes.add(isinstance(with_certificate[0], bytes))
         assert outcomes == {True, False}
@@ -315,11 +315,11 @@ class TestOrthogonalityCertificate:
         self, monkeypatch, nearly_orthogonal_blocks, at
     ):
         blocks = embedded_nearly_orthogonal(nearly_orthogonal_blocks, 16, at)
-        assert not qs._certified_orthogonal(blocks)
+        assert not qs._certificate(blocks)[1]
         message = "^blocks {},{} not orthogonal$".format(*sorted(at))
         with pytest.raises(qs.ValidationError, match=message):
             qs.Pvm(blocks)
-        monkeypatch.setattr(qs, "_certified_orthogonal", lambda blocks: False)
+        monkeypatch.setattr(qs, "_certificate", lambda blocks: (False, False))
         with pytest.raises(qs.ValidationError, match=message):
             qs.Pvm(blocks)
 
@@ -327,7 +327,7 @@ class TestOrthogonalityCertificate:
     def test_same_error_for_planted_overlaps(self, monkeypatch, pairs):
         blocks = planted_overlaps(20, pairs)
         with_certificate = pvm_outcome(blocks)
-        monkeypatch.setattr(qs, "_certified_orthogonal", lambda blocks: False)
+        monkeypatch.setattr(qs, "_certificate", lambda blocks: (False, False))
         assert pvm_outcome(blocks) == with_certificate
 
     @pytest.mark.parametrize("tol", [1e-11, 1e-10, 1e-9])
@@ -337,20 +337,27 @@ class TestOrthogonalityCertificate:
         # is about 2e-12 at d = 64
         monkeypatch.setattr(qs, "HERMITICITY_TOL", tol)
         monkeypatch.setattr(la, "HERMITICITY_TOL", tol)
-        certified = overlapping = 0
+        certified = checked = overlapping = 0
         for t, eps in enumerate(10.0 ** np.linspace(-16, -6, 11)):
             for fine in (True, False):
                 blocks = perturbed_projectors(dim, fine_or_coarse(dim, fine), eps, t)
                 overlap = serial_first_overlap(blocks)
-                if qs._certified_orthogonal(blocks):
+                checks, pairs = qs._certificate(blocks)
+                if pairs:
                     certified += 1
                     assert overlap is None
+                if checks:
+                    checked += 1
+                    assert pairs
+                    qs._check_blocks(blocks)
                 overlapping += overlap is not None
         assert certified > 0 and overlapping > 0
+        # the bound on the sum's entries is about 1.2e-10 for a fine d = 64 PVM
+        assert checked > 0 or (dim == 64 and tol < 1.2e-10)
 
     def test_zero_block_reaches_the_scan(self, scans):
         blocks = np.concatenate([sample_pvm(2, 16).blocks, np.zeros((1, 16, 16))])
-        assert not qs._certified_orthogonal(blocks)
+        assert qs._certificate(blocks) == (False, False)
         qs.Pvm(blocks)
         assert len(scans) == 1
 
@@ -370,7 +377,7 @@ class TestOrthogonalityCertificate:
             return spectrum(*eigh(h))
 
         monkeypatch.setattr(np.linalg, "eigh", patched)
-        assert not qs._certified_orthogonal(blocks)
+        assert qs._certificate(blocks) == (False, False)
         assert qs.Pvm(blocks).non_degenerate
         assert len(scans) == 1
 
@@ -385,6 +392,33 @@ class TestOrthogonalityCertificate:
     def test_fine_pvms_never_reach_the_scan(self, scans, dim):
         qs.Pvm(sample_pvm(dim, dim).blocks)
         assert scans == []
+
+    @pytest.mark.parametrize("dim", [16, 32, 64])
+    def test_certified_fine_pvms_skip_the_block_checks(self, monkeypatch, scans, dim):
+        # the Hermiticity, idempotence and identity-sum passes all run in _check_blocks
+        checks, hermitian = [], []
+        check_blocks, require_hermitian = qs._check_blocks, qs.require_hermitian
+        monkeypatch.setattr(qs, "_check_blocks", lambda b: checks.append(check_blocks(b)))
+        monkeypatch.setattr(
+            qs, "require_hermitian", lambda m: hermitian.append(require_hermitian(m))
+        )
+        blocks = sample_pvm(dim, dim).blocks
+        pvm = qs.Pvm(blocks)
+        assert checks == hermitian == scans == []
+        monkeypatch.setattr(qs, "_certificate", lambda blocks: (False, False))
+        assert qs.Pvm(blocks).blocks.tobytes() == pvm.blocks.tobytes()
+        assert len(checks) == len(hermitian) == len(scans) == 1
+
+
+class TestEigenvalues:
+    def test_trusted_matrix_solves_on_demand(self):
+        mat = sample_density(6, 12).mat
+        rho = qs.DensityMatrix.trusted(mat)
+        assert rho.eigenvalues().tobytes() == la.hermitian_eigvals(mat).tobytes()
+        validated = qs.DensityMatrix(mat, (3, 4))
+        assert validated.with_dims((2, 6)).eigenvalues().tobytes() == la.hermitian_eigvals(
+            validated.mat
+        ).tobytes()
 
 
 class TestPurityEntropy:
