@@ -48,17 +48,19 @@ def cmd_entropy(args, rho, pvm=None):
     warnings: list[str] = []
     if pvm is not None:
         rho_meas = measured_state(rho, pvm)
-        results["pvm_logical_entropy"] = pvm_logical_entropy(rho, pvm)
         results["measured_state_entropy"] = logical_entropy(rho_meas)
         results["divergence_to_measured"] = logical_divergence(rho, rho_meas)
         results["pvm_non_degenerate"] = pvm.non_degenerate
         if pvm.non_degenerate:
             diag, off = basis_decomposition_check(rho, pvm)
+            # one outcome-probability contraction: 1 - Σq² is pvm_logical_entropy's subtraction
+            results["pvm_logical_entropy"] = 1.0 - diag
             results["purity_decomposition"] = {
                 "measured_purity": diag,
                 "off_diagonal_mass": off,
             }
         else:
+            results["pvm_logical_entropy"] = pvm_logical_entropy(rho, pvm)
             warnings.append(
                 "coarse PVM: entropy computed from outcome probabilities; the "
                 "measured state keeps intra-block coherences"

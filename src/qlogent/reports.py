@@ -10,6 +10,7 @@ from contextlib import suppress
 from itertools import chain
 
 import numpy as np
+import orjson
 
 from . import __version__
 from . import linalg as la
@@ -24,6 +25,11 @@ TOOL_NAME = "qlogent"
 # From 1 MiB a free CPU saves more than that (about 0.9 ms per MiB; 9 ms, median of 7
 # rounds, on the 11.3 MiB fine d = 64 PVM).
 HASH_THREAD_MIN_BYTES = 1 << 20
+# orjson 3.8 builds nested arrays recursively, with no depth limit and about 64 bytes of C
+# stack per level (a balanced nest of 131k levels overflowed an 8 MiB stack), so it reads
+# only arrays with at most this many opening brackets: at most 0.5 MiB of stack, where
+# json's own scanner takes about 0.13 MiB at its recursion limit. A d = 64 block has 4,161.
+ORJSON_MAX_OPEN = 1 << 13
 
 
 class ParseError(ValueError):
@@ -68,28 +74,50 @@ def _reject_constant(name: str):
 
 
 def _decode_json(text: str, kind: str):
-    """json.loads(text), except that in a pvm file each item of an array value of the
-    top-level object goes through pairs_to_array as soon as json has read it, so one
-    block's lists are alive at a time; an item that does not decode is kept as read."""
+    """json.loads(text), except that arrays of [re, im] pairs go through pairs_to_array as
+    soon as they have been read, so one block's lists are alive at a time: in a pvm file
+    each item of an array value of the top-level object, in a density or vector file each
+    array value. A value that does not decode is kept as read.
+
+    A value opening with a run of ndim + 1 brackets is first read by orjson, up to the
+    first run of ndim + 1 closing brackets, if that text holds at most ORJSON_MAX_OPEN
+    opening brackets. If it parses completely, it is the value
+    json would read there (a JSON value has one end), and it is kept if it decodes. Any
+    other outcome steps aside to json's own scanner for the rest of the document, so json
+    decides every refusal and its message; an indented file never opens with that run."""
     decoder = json.JSONDecoder(parse_constant=_reject_constant)
     scan = decoder.scan_once  # json's own scanner, which makes every grammar decision
+    ndim = 1 if kind == "vector" else 2
+    opening, closing = "[" * (ndim + 1), "]" * (ndim + 1)
+    fast = True
 
-    def block(s, idx):
+    def pairs(s, idx):
+        nonlocal fast
+        if fast and s.startswith(opening, idx):
+            # with no closing run, end < idx: an empty slice, which orjson refuses
+            end = s.find(closing, idx) + len(closing)
+            # a lone surrogate's UnicodeEncodeError, orjson's JSONDecodeError or a ParseError
+            with suppress(ValueError):
+                chunk = s[idx:end].encode()
+                if np.count_nonzero(np.frombuffer(chunk, np.uint8) == ord("[")) <= ORJSON_MAX_OPEN:
+                    return pairs_to_array(orjson.loads(chunk), ndim), end
+            fast = False
         item, end = scan(s, idx)
         with suppress(ParseError):
-            item = pairs_to_array(item, 2)
+            item = pairs_to_array(item, ndim)
         return item, end
 
     def value(s, idx):
-        return json.decoder.JSONArray((s, idx + 1), block) if s.startswith("[", idx) else scan(s, idx)
+        if not s.startswith("[", idx):
+            return scan(s, idx)
+        return json.decoder.JSONArray((s, idx + 1), pairs) if kind == "pvm" else pairs(s, idx)
 
     def document(s, idx):
         if s.startswith("{", idx):
             return json.decoder.JSONObject((s, idx + 1), True, value, None, None, {})
         return scan(s, idx)
 
-    if kind == "pvm":
-        decoder.scan_once = document
+    decoder.scan_once = document
     return decoder.decode(text)
 
 
@@ -149,7 +177,9 @@ def _read_entries(path: str, kind: str):
     except (OSError, ValueError, RecursionError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
     key = "blocks" if kind == "pvm" else "matrix"
-    if not isinstance(doc, dict) or doc.get("kind") != kind or key not in doc:
+    # only a str is compared: a "kind" decoded into an array would compare elementwise
+    found = doc.get("kind") if isinstance(doc, dict) else None
+    if not isinstance(found, str) or found != kind or key not in doc:
         raise ParseError(f"{path}: expected an object with kind {kind!r} and {key!r}")
     dims = doc.get("dims")
     if dims is not None:
@@ -162,6 +192,8 @@ def _read_entries(path: str, kind: str):
     del doc, text  # released before the decode allocates its arrays
     try:
         if kind != "pvm":
+            if isinstance(entries, np.ndarray):
+                return entries, dims, info
             return pairs_to_array(entries, 1 if kind == "vector" else 2), dims, info
         if not isinstance(entries, list) or not entries:
             raise ParseError("'blocks' must be a non-empty list")

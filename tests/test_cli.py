@@ -1,7 +1,9 @@
 import argparse
+import decimal
 import gc
 import hashlib
 import json
+import math
 import os
 import re
 import struct
@@ -9,10 +11,11 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qlogent
@@ -728,6 +731,20 @@ MALFORMED_PVM_FILES = {
     ),
     "utf16": (_pvm(_BLOCKS).decode().encode("utf-16"), 0, ""),
     "utf8_bom": (b"\xef\xbb\xbf" + _pvm(_BLOCKS), 0, ""),
+    # json.dump(indent=1): no block opens with a run of brackets, so json reads each one
+    "indented": (json.dumps(json.loads(_pvm(_BLOCKS)), indent=1).encode(), 0, ""),
+    "nan_in_second_block": (
+        _pvm(f"[{_B0}, {_entry('NaN')}]"), 2,
+        "parse error: {path}: expected [re, im] pairs of finite numbers, got NaN\n",
+    ),
+    "escaped_lone_surrogate": (_pvm(f"[{_B0}, " + _entry('"\\ud800"') + "]"), 2, _FINITE),
+    "raw_lone_surrogate": (_pvm(f"[{_B0}, " + _entry('"@"') + "]").replace(b"@", b"\xed\xa0\x80"),
+                           2, _FINITE),
+    "1e400_in_second_block": (_pvm(f"[{_B0}, {_entry('1e400')}]"), 2, _FINITE),
+    # the first run of three closing brackets ends the second block early
+    "closing_run_inside_a_block": (
+        _pvm(f"[{_B0}, [[[[0, 0]]], [[0, 0], [0, 0]]]]"), 2, _RECTANGULAR,
+    ),
     "invalid_utf8": (
         _pvm(_BLOCKS).replace(b'"pvm"', b'"p\xffm"'), 2,
         "parse error: {path}: 'utf-8' codec can't decode byte 0xff in position 11: "
@@ -745,14 +762,112 @@ MALFORMED_PVM_FILES = {
 }
 
 
+def _same_report(capsys, argv, path, data, plain, out):
+    """out is the report argv gives with plain as the bytes at path, but for their digest."""
+    path.write_bytes(plain)
+    expected = run_json(capsys, argv)
+    for report in expected["inputs"].values():
+        if report["path"] == str(path):
+            report["sha256"] = hashlib.sha256(data).hexdigest()
+    assert out == reports.dumps_stable(expected) + "\n"
+
+
 @pytest.mark.parametrize("name", sorted(MALFORMED_PVM_FILES))
 def test_malformed_pvm_file(files, capsys, tmp_path, name):
     data, code, err = MALFORMED_PVM_FILES[name]
     path = tmp_path / "pvm.json"
     path.write_bytes(data)
-    got, out, got_err = run(capsys, ["entropy", "--in", files["mixed.json"], "--pvm", str(path)])
+    argv = ["entropy", "--in", files["mixed.json"], "--pvm", str(path)]
+    got, out, got_err = run(capsys, argv)
     assert (got, got_err) == (code, err.replace("{path}", str(path)))
     assert (out != "") == (code == 0)
+    if code == 0:  # every accepted file holds the blocks of _BLOCKS
+        _same_report(capsys, argv, path, data, _pvm(_BLOCKS), out)
+
+
+_HALF = "[[[0.5, 0], [0, 0]], [[0, 0], [0.5, 0]]]"
+_PLUS = "[[0.7071067811865476, 0], [0.7071067811865476, 0]]"
+
+
+def _state(kind: str, matrix: str, head: str = "") -> bytes:
+    return ("{" + head + f'"kind": "{kind}", "matrix": ' + matrix + "}").encode()
+
+
+def _half(x: str) -> str:
+    """_HALF with x as the real part of its first entry."""
+    return f"[[[{x}, 0], [0, 0]], [[0, 0], [0.5, 0]]]"
+
+
+_RECURSION = (
+    "parse error: {path}: maximum recursion depth exceeded while decoding a JSON array "
+    "from a unicode string\n"
+)
+
+# (density or vector file bytes, exit code, exact stderr with {path}): orjson reads the
+# matrix of a compact file, json's scanner any other; json decides every refusal
+MALFORMED_STATE_FILES = {
+    "density_indented": (json.dumps(json.loads(_state("density", _HALF)), indent=1).encode(),
+                         0, ""),
+    "density_utf16": (_state("density", _HALF).decode().encode("utf-16"), 0, ""),
+    "density_utf8_bom": (b"\xef\xbb\xbf" + _state("density", _HALF), 0, ""),
+    "density_nan": (
+        _state("density", _half("NaN")), 2,
+        "parse error: {path}: expected [re, im] pairs of finite numbers, got NaN\n",
+    ),
+    "density_1e400": (_state("density", _half("1e400")), 2, _FINITE),
+    "density_escaped_lone_surrogate": (_state("density", _half('"\\udc00"')), 2, _FINITE),
+    "density_raw_lone_surrogate": (
+        _state("density", _half('"@"')).replace(b"@", b"\xed\xb0\x80"), 2, _FINITE),
+    "density_nested_past_the_recursion_limit": (
+        _state("density", "[" * 100_000 + "0" + "]" * 100_000), 2, _RECURSION),
+    "density_decoded_kind": (
+        _state("density", _HALF).replace(b'"density"', _HALF.encode()), 2,
+        "parse error: {path}: expected an object with kind 'density' and 'matrix'\n",
+    ),
+    "density_decoded_dims": (
+        _state("density", _HALF, '"dims": [[[2, 0]]], '), 2,
+        "parse error: {path}: dims must be a list of positive integers\n",
+    ),
+    "density_closing_run_then_extra_data": (
+        _state("density", _HALF + "]"), 2,
+        "parse error: {path}: Expecting ',' delimiter: line 1 column 71 (char 70)\n",
+    ),
+    "vector_decoded_kind": (
+        _state("vector", _PLUS).replace(b'"vector"', _PLUS.encode()), 2,
+        "parse error: {path}: expected an object with kind 'vector' and 'matrix'\n",
+    ),
+    "vector_indented": (json.dumps(json.loads(_state("vector", _PLUS)), indent=1).encode(),
+                        0, ""),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_STATE_FILES))
+def test_malformed_state_file(files, capsys, tmp_path, name):
+    data, code, err = MALFORMED_STATE_FILES[name]
+    path = tmp_path / "state.json"
+    path.write_bytes(data)
+    argv = ["entropy", "--in", str(path)]
+    plain = _state("density", _HALF)
+    if name.startswith("vector"):
+        argv = ["postselect", "--pre", str(path), "--post", files["post_zero.json"],
+                "--pvm", files["comp_pvm.json"]]
+        plain = _state("vector", _PLUS)
+    got, out, got_err = run(capsys, argv)
+    assert (got, got_err) == (code, err.replace("{path}", str(path)))
+    assert (out != "") == (code == 0)
+    if code == 0:
+        _same_report(capsys, argv, path, data, plain, out)
+
+
+def test_nest_too_deep_for_orjson_takes_json_path(tmp_path):
+    # a balanced nest between the opening and the first closing run of brackets; orjson
+    # 3.8 would recurse 200k levels deep on it and overflow the C stack
+    depth = 200_000
+    path = tmp_path / "deep.json"
+    path.write_bytes(_state("density", "[[[" + "0,[" * depth + "0" + "] " * depth + "]]]"))
+    proc = _cli_subprocess([["entropy", "--in", str(path)]], "1")
+    assert proc.stdout == b"exit 2\n"
+    assert proc.stderr == _RECURSION.replace("{path}", str(path)).encode()
 
 
 # Errors that name which file of several is bad: (argv, exit code, exact stderr), with
@@ -961,6 +1076,155 @@ def test_odd_value_at_the_pair_level(ndim, odd):
     with pytest.raises(reports.ParseError) as got:
         reports.pairs_to_array(entries, ndim)
     assert str(got.value) == str(expected.value)
+
+
+# in place of the orjson module in reports: every read steps aside to json
+_ORJSON_OFF = mock.Mock(**{"loads.side_effect": ValueError("orjson is off")})
+
+
+def _decoded(text, kind, orjson=reports.orjson):
+    """reports._decode_json's document, or its error, as a flat list of tokens in which
+    arrays and floats are their bytes, so that == compares types and bits (built without
+    recursion: a document may nest a thousand levels deep)."""
+    with mock.patch.object(reports, "orjson", orjson):
+        try:
+            stack = [reports._decode_json(text, kind)]
+        except (ValueError, RecursionError) as exc:
+            return [type(exc), str(exc)]
+    tokens = []
+    while stack:
+        x = stack.pop()
+        if isinstance(x, dict):
+            tokens.append(("dict", len(x)))
+            for key, value in reversed(x.items()):
+                stack += [value, key]
+        elif isinstance(x, list):
+            tokens.append(("list", len(x)))
+            stack.extend(reversed(x))
+        elif isinstance(x, np.ndarray):
+            tokens.append(("array", x.dtype.str, x.shape, x.tobytes()))
+        elif isinstance(x, float):
+            tokens.append(("float", struct.pack("<d", x)))
+        else:
+            tokens.append((type(x), x))
+    return tokens
+
+
+def _halfway(x: float) -> str:
+    """The exact decimal midpoint between x and the next double away from zero (or
+    toward it, at the largest double), which must round to even."""
+    y = math.nextafter(x, math.copysign(math.inf, x))
+    if math.isinf(y):
+        y = math.nextafter(x, 0.0)
+    with decimal.localcontext() as ctx:
+        ctx.prec = 1200
+        return str((decimal.Decimal(x) + decimal.Decimal(y)) / 2)
+
+
+_DOUBLES = st.floats(allow_nan=False, allow_infinity=False)
+_SUBNORMALS = st.floats(-2.2250738585072014e-308, 2.2250738585072014e-308)
+_NEAR_64_BITS = [2**63 + k for k in (-1, 0, 1)] + [2**64 + k for k in (-1, 0, 1)]
+# numbers that json and orjson both read to the same finite double
+_SPELLINGS = st.one_of(
+    _DOUBLES.map(repr),
+    _DOUBLES.map(lambda x: f"{x:.16e}"),
+    (_DOUBLES | _SUBNORMALS).map(_halfway),
+    _DOUBLES.map(lambda x: f"{decimal.Decimal(_halfway(x)):.16e}"),
+    _SUBNORMALS.map(repr),
+    st.integers(-(10**300), 10**300).filter(lambda n: abs(n) >= 10**18).map(str),
+    st.sampled_from(_NEAR_64_BITS + [-n for n in _NEAR_64_BITS]).map(str),
+    st.sampled_from([
+        "-0", "-0.0", "-0e0", "0", "5e-324", "2.4703282292062328e-324",
+        "2.4703282292062327e-324", "1e-400", "1.7976931348623157e308",
+        "1.7976931348623158e308",
+    ]),
+)
+# spellings json reads and orjson refuses, or that no pair may hold
+_REFUSALS = st.one_of(
+    st.sampled_from([
+        "NaN", "Infinity", "-Infinity", '"\\ud800"', '"\\udc00x"', '"\ud800"', "true", "null",
+        "1.7976931348623159e308", "1e400", "-1e400", "[]", "[0, 0]",
+    ]),
+    st.integers(10**309, 10**400).map(str),
+    st.integers(900, 1100).map(lambda n: "[" * n + "0" + "]" * n),
+)
+_PADS = st.sampled_from(["", " ", "\n", "\n  ", "\t"])
+
+
+@st.composite
+def _matrix_texts(draw):
+    """(kind, texts): one density, vector or pvm file spelled with hard numbers, now and
+    then ragged or holding a refusal, a decodable "dims" or an extra key, as compact text
+    and as text with whitespace."""
+    kind = draw(st.sampled_from(["density", "vector", "pvm"]))
+    d = draw(st.integers(1, 3))
+    shape = {"vector": [d], "density": [d, d], "pvm": [draw(st.integers(1, 3)), d, d]}[kind]
+    leaves = 2 * math.prod(shape)
+    refused = draw(st.sets(st.integers(0, leaves - 1), max_size=2))
+    ragged = draw(st.booleans())
+    leaf = iter(range(leaves))
+
+    def tree(level):
+        if level == len(shape):
+            return [draw(_REFUSALS if next(leaf) in refused else _SPELLINGS) for _ in "re"]
+        items = [tree(level + 1) for _ in range(shape[level])]
+        if ragged and level == len(shape) - 1 and draw(st.booleans()):
+            items.pop()
+        return items
+
+    matrix = tree(0)
+    extras = draw(st.lists(st.sampled_from(['"dims": [2]', '"dims": [[2, 0]]',
+                                            '"x": [[[1, 0]]]', '"x": "[[["']), max_size=2))
+    order = draw(st.permutations(range(2 + len(extras))))
+    texts = []
+    for pads, comma in (([""] * 4, ","), ([draw(_PADS) for _ in range(4)], "," + draw(_PADS))):
+
+        def spell(node, level=0):
+            if isinstance(node, str):
+                return node
+            inner = comma.join(spell(item, level + 1) for item in node)
+            return "[" + pads[level] + inner + pads[level] + "]"
+
+        items = [f'"kind": "{kind}"', f'"{"blocks" if kind == "pvm" else "matrix"}": '
+                 + spell(matrix), *extras]
+        texts.append("{" + comma.join(items[i] for i in order) + "}")
+    return kind, texts
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_matrix_texts())
+# files that orjson reads whole, with -0, 2^64 + 1, a subnormal's halfway point, the largest
+# double's rounding boundary and halfway spellings
+@example(("density", ['{"kind":"density","matrix":[[[-0.0,18446744073709551617],'
+                      '[2.4703282292062328e-324,1.7976931348623158e308]],'
+                      '[[-0e0,-9223372036854775809],[5e-324,0.30000000000000004]]]}']))
+@example(("pvm", ['{"kind":"pvm","blocks":[[[[-0.0,0],[1e-400,-0e-5]]],'
+                  '[[[9007199254740993,-2.2250738585072011e-308]]]]}']))
+@example(("vector", ['{"kind":"vector","matrix":[[-0.0,1.00000000000000011102230246251565]]}']))
+# a ragged matrix that orjson parses, with an integer it reads as a float and json as an int
+@example(("density", ['{"kind":"density","matrix":[[[18446744073709551617,0],[1,0]],[[1,0]]]}']))
+def test_orjson_reads_what_json_reads(case):
+    # wherever orjson's read is kept, json's scanner gives the same value, bit for bit
+    kind, texts = case
+    for text in texts:
+        assert _decoded(text, kind) == _decoded(text, kind, _ORJSON_OFF)
+
+
+def test_orjson_reads_every_array_of_a_compact_file(large_inputs, monkeypatch):
+    spy = mock.Mock(wraps=reports.orjson)
+    monkeypatch.setattr(reports, "orjson", spy)
+    rho_path, pvm_path = large_inputs
+    rho, _ = reports.load_matrix_file(str(rho_path), "density")
+    pvm, _ = reports.load_matrix_file(str(pvm_path), "pvm")
+    assert spy.loads.call_count == 1 + 32
+    # an indented file takes json's path, to the same arrays
+    for path in large_inputs:
+        path.with_suffix(".indented").write_text(json.dumps(json.loads(path.read_text()), indent=1))
+    rho_json, _ = reports.load_matrix_file(str(rho_path.with_suffix(".indented")), "density")
+    pvm_json, _ = reports.load_matrix_file(str(pvm_path.with_suffix(".indented")), "pvm")
+    assert spy.loads.call_count == 1 + 32
+    assert rho.mat.tobytes() == rho_json.mat.tobytes()
+    assert pvm.blocks.tobytes() == pvm_json.blocks.tobytes()
 
 
 class TestMatrixFileRoundTrip:
