@@ -5,7 +5,6 @@ from __future__ import annotations
 import gc
 import hashlib
 import json
-import threading
 from contextlib import suppress
 from itertools import chain
 
@@ -17,14 +16,6 @@ from . import linalg as la
 from .states import DensityMatrix, Pvm
 
 TOOL_NAME = "qlogent"
-# A file of at least this many bytes is hashed on a second thread while json scans its
-# text (hashlib releases the GIL); a smaller one is hashed inline. In-process on a 2-vCPU
-# box, sha256 took 0.9 ms per MiB and a thread's start and join 0.08 ms, so with the second
-# CPU free the thread breaks even near 0.1 MiB; with it busy (two spinning processes each
-# at half speed), loading a fine PVM of 72-600 KiB took 0.1-0.7 ms longer with the thread.
-# From 1 MiB a free CPU saves more than that (about 0.9 ms per MiB; 9 ms, median of 7
-# rounds, on the 11.3 MiB fine d = 64 PVM).
-HASH_THREAD_MIN_BYTES = 1 << 20
 # orjson 3.8 builds nested arrays recursively, with no depth limit and about 64 bytes of C
 # stack per level (a balanced nest of 131k levels overflowed an 8 MiB stack), so it reads
 # only arrays with at most this many opening brackets: at most 0.5 MiB of stack, where
@@ -145,35 +136,15 @@ def load_matrix_file(path: str, kind: str):
     return DensityMatrix(entries, dims), info
 
 
-def _update(sha, data: bytes, failed: list) -> None:
-    """sha.update(data) on the hashing thread; an error is kept for the reading thread."""
-    try:
-        sha.update(data)
-    except BaseException as exc:
-        failed.append(exc)
-
-
 def _read_entries(path: str, kind: str):
     """(decoded arrays, dims or None, info) of a matrix file."""
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
-        sha, failed, hasher = hashlib.sha256(), [], None
-        if len(raw) >= HASH_THREAD_MIN_BYTES:
-            hasher = threading.Thread(target=_update, args=(sha, raw, failed))
-            hasher.start()
-        else:
-            sha.update(raw)
-        try:
-            text = raw.decode(json.detect_encoding(raw), "surrogatepass")  # as json.loads does
-            del raw  # not kept through the scan, once hashed
-            doc = _decode_json(text, kind)
-        finally:
-            if hasher is not None:
-                hasher.join()
-        if failed:
-            raise failed[0]
-        info = {"path": path, "sha256": sha.hexdigest()}
+        info = {"path": path, "sha256": hashlib.sha256(raw).hexdigest()}
+        text = raw.decode(json.detect_encoding(raw), "surrogatepass")  # as json.loads does
+        del raw  # not kept through the scan, once hashed
+        doc = _decode_json(text, kind)
     except (OSError, ValueError, RecursionError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
     key = "blocks" if kind == "pvm" else "matrix"

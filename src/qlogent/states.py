@@ -281,9 +281,6 @@ class Pvm:
     def dim(self) -> int:
         return self.blocks.shape[1]
 
-    def __len__(self) -> int:
-        return len(self.blocks)
-
     @classmethod
     def from_basis(cls, basis: np.ndarray, groups: list[int] | None = None) -> "Pvm":
         """PVM whose blocks project onto groups of columns of a unitary basis. The Gram

@@ -19,8 +19,8 @@ except ImportError:
 
 @pytest.fixture
 def started_threads(monkeypatch):
-    """List that collects every thread started through threading.Thread: the CPU split's
-    (partitions._split_over_cpus) and the file hash's (reports._read_entries)."""
+    """List that collects every thread started through threading.Thread, such as the CPU
+    split's (partitions._split_over_cpus)."""
     started = []
 
     class CountingThread(threading.Thread):

@@ -1315,30 +1315,32 @@ class TestCollectorPause:
 
 @pytest.fixture(scope="module")
 def large_inputs(tmp_path_factory):
-    """A d = 32 state and fine PVM; the PVM file is above the threshold of the hash thread."""
+    """A d = 32 state and fine PVM."""
     tmp = tmp_path_factory.mktemp("large")
     rho, pvm = tmp / "rho_32.json", tmp / "pvm_32.json"
     reports.write_matrix_file(str(rho), "density", sample_density(3, 32).mat)
     write_pvm(pvm, sample_pvm(3, 32))
-    assert rho.stat().st_size < reports.HASH_THREAD_MIN_BYTES <= pvm.stat().st_size
     return rho, pvm
 
 
-class TestHashThread:
-    """A file of at least HASH_THREAD_MIN_BYTES is hashed on a second thread while json
-    scans it, a smaller one inline; the report holds hashlib's digest of its bytes."""
+class TestFileDigest:
+    """Every file is hashed inline, whatever its size; the report holds hashlib's digest
+    of its bytes. The state file is below 1 MiB and the PVM file above it."""
 
-    def test_digests_of_files_on_both_sides(self, capsys, large_inputs, started_threads):
+    def test_digests_of_files_on_both_sides(self, capsys, large_inputs):
         rho, pvm = large_inputs
+        assert rho.stat().st_size < 1 << 20 <= pvm.stat().st_size
         doc = run_json(capsys, ["entropy", "--in", str(rho), "--pvm", str(pvm)])
         for name, path in (("rho", rho), ("pvm", pvm)):
             digest = hashlib.sha256(path.read_bytes()).hexdigest()
             assert doc["inputs"][name] == {"path": str(path), "sha256": digest}
-        assert len(started_threads) == 1 and not started_threads[0].is_alive()
 
     @pytest.mark.parametrize("large", [True, False])
-    def test_hashing_error_is_raised(self, monkeypatch, large_inputs, started_threads, large):
+    def test_hashing_error_is_raised(self, monkeypatch, large_inputs, large):
         class FailingHash:
+            def __init__(self, data=b""):
+                self.update(data)
+
             def update(self, data):
                 raise RuntimeError("hashing failed")
 
@@ -1350,16 +1352,16 @@ class TestHashThread:
         path, kind = (pvm, "pvm") if large else (rho, "density")
         with pytest.raises(RuntimeError, match="^hashing failed$"):
             reports.load_matrix_file(str(path), kind)
-        assert len(started_threads) == large
-        assert not any(t.is_alive() for t in started_threads)
 
-    def test_decode_error_wins_and_the_thread_is_joined(self, tmp_path, started_threads):
+    def test_truncated_large_file_fails_in_json(self, tmp_path):
         path = tmp_path / "truncated.json"
-        path.write_bytes(b'{"kind": "pvm", "blocks": [' + b" " * reports.HASH_THREAD_MIN_BYTES)
-        assert path.stat().st_size >= reports.HASH_THREAD_MIN_BYTES
+        path.write_bytes(b'{"kind": "pvm", "blocks": [' + b" " * (1 << 20))
         with pytest.raises(reports.ParseError, match=f"^{re.escape(str(path))}: Expecting"):
             reports.load_matrix_file(str(path), "pvm")
-        assert len(started_threads) == 1 and not started_threads[0].is_alive()
+
+    def test_large_file_starts_no_thread(self, large_inputs, started_threads):
+        reports.load_matrix_file(str(large_inputs[1]), "pvm")
+        assert started_threads == []
 
 
 def test_entropy_reports_the_validation_spectrum(monkeypatch, large_inputs):

@@ -62,14 +62,14 @@ class TestSampleUnitary:
 class TestSamplePvm:
     def test_coarse_groups(self):
         pvm = sp.sample_pvm(0, 4, [2, 2])
-        assert len(pvm) == 2
+        assert pvm.blocks.shape[0] == 2
         assert not pvm.non_degenerate
         for b in pvm.blocks:
             assert abs(np.trace(b).real - 2.0) <= 1e-9
 
     def test_fine_default(self):
         pvm = sp.sample_pvm(0, 3)
-        assert len(pvm) == 3
+        assert pvm.blocks.shape[0] == 3
         assert pvm.non_degenerate
 
     def test_residuals(self):
