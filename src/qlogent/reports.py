@@ -36,23 +36,27 @@ def matrix_to_pairs(m) -> list:
 _NOT_FINITE = "expected [re, im] pairs of finite numbers"
 
 
-def pairs_to_array(entries, ndim: int) -> np.ndarray:
+def pairs_to_array(entries, ndim: int, numbers: bool = False) -> np.ndarray:
     """Complex array with ndim axes from nested lists of [re, im] pairs of finite numbers,
-    as json decodes them."""
+    as json decodes them. numbers=True vouches that every value under the lists is an int
+    or a float, so the leaves are streamed into the array unchecked."""
     # lists of one length on each level, then ints or floats (numpy would take bools too).
     # The pair level is checked by len alone: a number, None or bool has no len, and a
     # 2-key object or a 2-character string flattens into str leaves, which fail below
     shape, flat = [], [entries]
     with suppress(TypeError):
-        while len(shape) <= ndim and (len(shape) == ndim or set(map(type, flat)) == {list}):
+        while len(shape) < ndim and set(map(type, flat)) == {list}:
             if len(n := set(map(len, flat))) != 1:
                 break
             shape.append(n.pop())
             flat = list(chain.from_iterable(flat))
-    if len(shape) == ndim + 1 and shape[-1] == 2 and set(map(type, flat)) <= {int, float}:
-        with suppress(OverflowError):  # an integer beyond the float range
-            if np.isfinite(a := np.fromiter(flat, dtype=float, count=len(flat))).all():
-                return a.view(complex).reshape(shape[:-1])
+        if len(shape) == ndim and set(map(len, flat)) == {2}:
+            leaves = chain.from_iterable(flat) if numbers else list(chain.from_iterable(flat))
+            # an integer beyond the float range; with numbers, a list leaf (a level too many)
+            with suppress(OverflowError, ValueError):
+                if numbers or set(map(type, leaves)) <= {int, float}:
+                    if np.isfinite(a := np.fromiter(leaves, float, 2 * len(flat))).all():
+                        return a.view(complex).reshape(shape)
     # object dtype keeps the parsed values, to tell a wrong shape from a wrong entry
     if (a := np.array(entries, dtype=object)).ndim != ndim + 1 or a.shape[-1] != 2 or 0 in a.shape:
         name = "vector" if ndim == 1 else "matrix"
@@ -91,7 +95,9 @@ def _decode_json(text: str, kind: str):
             with suppress(ValueError):
                 chunk = s[idx:end].encode()
                 if np.count_nonzero(np.frombuffer(chunk, np.uint8) == ord("[")) <= ORJSON_MAX_OPEN:
-                    return pairs_to_array(orjson.loads(chunk), ndim), end
+                    # every JSON value but a number or an array opens with one of these
+                    numbers = not any(c in chunk for c in (b'"', b"{", b"t", b"f", b"n"))
+                    return pairs_to_array(orjson.loads(chunk), ndim, numbers=numbers), end
             fast = False
         item, end = scan(s, idx)
         with suppress(ParseError):

@@ -30,8 +30,8 @@ def rng_for(seed: int, *stream: int) -> np.random.Generator:
 
 
 def _complex_gaussian(rng: np.random.Generator, n: int, rows: int, cols: int) -> np.ndarray:
-    z = rng.standard_normal((n, rows, cols, 2))
-    return z[..., 0] + 1j * z[..., 1]
+    # (re, im) pairs are complex128's memory layout
+    return rng.standard_normal((n, rows, cols, 2)).view(complex)[..., 0]
 
 
 def sample_densities(seed: int, n: int, dim: int, rank: int | None = None, *stream: int):

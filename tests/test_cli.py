@@ -1051,19 +1051,38 @@ def _nested_pairs(draw):
     return build(0), ndim
 
 
-@settings(max_examples=400, deadline=None, derandomize=True)
-@given(_nested_pairs())
-def test_pairs_to_array_matches_the_object_dtype_classification(case):
-    entries, ndim = case
+def _numbers_only(x) -> bool:
+    """No bool, str, None or dict anywhere in the nest: the only inputs that
+    reports._decode_json's byte check hands to pairs_to_array with numbers=True."""
+    return all(map(_numbers_only, x)) if isinstance(x, list) else type(x) in (int, float)
+
+
+def _assert_decodes_as_classified(entries, ndim, **kwargs):
     try:
         expected = _object_dtype_decode(entries, ndim)
     except reports.ParseError as exc:
         with pytest.raises(reports.ParseError) as got:
-            reports.pairs_to_array(entries, ndim)
+            reports.pairs_to_array(entries, ndim, **kwargs)
         assert str(got.value) == str(exc)
     else:
-        got = reports.pairs_to_array(entries, ndim)
+        got = reports.pairs_to_array(entries, ndim, **kwargs)
         assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_nested_pairs())
+# numbers only, with a level too many, pair lengths that make up each other's difference,
+# an empty pair and an integer beyond the float range
+@example(([[[[1, 2], 3]]], 2))
+@example(([[[1, 2, 3], [4]]], 2))
+@example(([[[1, 2], []]], 2))
+@example(([[], [1, 2]], 1))
+@example(([[[10**400, 0]]], 2))
+def test_pairs_to_array_matches_the_object_dtype_classification(case):
+    entries, ndim = case
+    _assert_decodes_as_classified(entries, ndim)
+    if _numbers_only(entries):
+        _assert_decodes_as_classified(entries, ndim, numbers=True)
 
 
 @pytest.mark.parametrize("odd", _ODD_PAIRS, ids=repr)
@@ -1212,19 +1231,37 @@ def test_orjson_reads_what_json_reads(case):
 
 def test_orjson_reads_every_array_of_a_compact_file(large_inputs, monkeypatch):
     spy = mock.Mock(wraps=reports.orjson)
+    decode = mock.Mock(wraps=reports.pairs_to_array)
     monkeypatch.setattr(reports, "orjson", spy)
+    monkeypatch.setattr(reports, "pairs_to_array", decode)
     rho_path, pvm_path = large_inputs
     rho, _ = reports.load_matrix_file(str(rho_path), "density")
     pvm, _ = reports.load_matrix_file(str(pvm_path), "pvm")
     assert spy.loads.call_count == 1 + 32
-    # an indented file takes json's path, to the same arrays
+    # the bytes of every array hold only numbers, so each decodes in one pass
+    assert [c.kwargs for c in decode.call_args_list] == [{"numbers": True}] * (1 + 32)
+    decode.reset_mock()
+    # an indented file takes json's path and the full leaf check, to the same arrays
     for path in large_inputs:
         path.with_suffix(".indented").write_text(json.dumps(json.loads(path.read_text()), indent=1))
     rho_json, _ = reports.load_matrix_file(str(rho_path.with_suffix(".indented")), "density")
     pvm_json, _ = reports.load_matrix_file(str(pvm_path.with_suffix(".indented")), "pvm")
     assert spy.loads.call_count == 1 + 32
+    assert [c.kwargs for c in decode.call_args_list] == [{}] * (1 + 32)
     assert rho.mat.tobytes() == rho_json.mat.tobytes()
     assert pvm.blocks.tobytes() == pvm_json.blocks.tobytes()
+
+
+@pytest.mark.parametrize("value", ['"1"', "{}", "true", "false", "null"])
+def test_orjson_read_of_a_non_number_takes_the_leaf_check(tmp_path, monkeypatch, value):
+    # orjson reads each of these values, and the byte that opens it keeps the full check
+    decode = mock.Mock(wraps=reports.pairs_to_array)
+    monkeypatch.setattr(reports, "pairs_to_array", decode)
+    path = tmp_path / "v.json"
+    path.write_text(f'{{"kind":"vector","matrix":[[0.5,{value}],[1e3,-0]]}}')
+    with pytest.raises(reports.ParseError, match=r"pairs of finite numbers$"):
+        reports.load_matrix_file(str(path), "vector")
+    assert decode.call_args_list[0].kwargs == {"numbers": False}
 
 
 class TestMatrixFileRoundTrip:
@@ -1301,9 +1338,9 @@ class TestCollectorPause:
         seen = []
 
         def spy(name, fn):
-            def call(*args):
+            def call(*args, **kwargs):
                 seen.append((name, gc.isenabled()))
-                return fn(*args)
+                return fn(*args, **kwargs)
 
             monkeypatch.setattr(reports, name, call)
 
