@@ -10,6 +10,7 @@ import numpy as np
 from . import postselect as ps
 from . import reports
 from .linalg import MAX_EIG_DIM, DimensionMismatchError
+from .partitions import distribution_purity
 from .propositions import (
     PROP6_MAX_DIM,
     PROPOSITION_IDS,
@@ -20,12 +21,12 @@ from .propositions import (
     verify_proposition,
 )
 from .states import (
-    basis_decomposition_check,
     fidelity,
     logical_divergence,
     logical_divergence_definitional,
     logical_entropy,
     measured_state,
+    outcome_probabilities,
     purity,
     pvm_logical_entropy,
     relative_entropy_report,
@@ -40,27 +41,22 @@ EXIT_ORTHOGONAL = 6
 
 
 def cmd_entropy(args, rho, pvm=None):
-    results = {
-        "logical_entropy": logical_entropy(rho),
-        "purity": purity(rho),
-        "eigenvalues": rho.eigenvalues(),
-    }
+    p = purity(rho)
+    results = {"logical_entropy": 1.0 - p, "purity": p, "eigenvalues": rho.eigenvalues()}
     warnings: list[str] = []
     if pvm is not None:
         rho_meas = measured_state(rho, pvm)
+        measured = float(distribution_purity(outcome_probabilities(rho, pvm)))
         results["measured_state_entropy"] = logical_entropy(rho_meas)
         results["divergence_to_measured"] = logical_divergence(rho, rho_meas)
         results["pvm_non_degenerate"] = pvm.non_degenerate
+        results["pvm_logical_entropy"] = 1.0 - measured
         if pvm.non_degenerate:
-            diag, off = basis_decomposition_check(rho, pvm)
-            # one outcome-probability contraction: 1 - Σq² is pvm_logical_entropy's subtraction
-            results["pvm_logical_entropy"] = 1.0 - diag
             results["purity_decomposition"] = {
-                "measured_purity": diag,
-                "off_diagonal_mass": off,
+                "measured_purity": measured,
+                "off_diagonal_mass": p - measured,
             }
         else:
-            results["pvm_logical_entropy"] = pvm_logical_entropy(rho, pvm)
             warnings.append(
                 "coarse PVM: entropy computed from outcome probabilities; the "
                 "measured state keeps intra-block coherences"

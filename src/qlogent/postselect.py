@@ -45,8 +45,11 @@ def _unit_vector(v, name: str) -> np.ndarray:
     with np.errstate(over="ignore"):  # entries near the float limit give norm inf
         n = np.linalg.norm(v)
     if abs(n - 1.0) > TRACE_TOL:
-        if n == 0:
+        if not v.any():
             raise ValidationError(f"{name} vector is zero")
+        a = np.abs(v)  # with the largest modulus factored out, no tiny norm underflows to 0
+        with np.errstate(over="ignore"):
+            n = a.max() * np.linalg.norm(a / a.max())
         raise ValidationError(f"{name} vector norm {n} differs from 1 beyond {TRACE_TOL:.1e}")
     return v / n
 

@@ -180,6 +180,36 @@ class TestEntropyCommand:
         doc = run_json(capsys, ["entropy", "--in", files["mixed.json"]])
         assert len(doc["inputs"]["rho"]["sha256"]) == 64
 
+    @pytest.mark.parametrize("d, groups", [
+        (2, None), (2, [2]), (8, None), (8, [3, 5]), (64, None), (64, [32, 32]),
+    ])
+    def test_pvm_numbers_match_the_library(self, capsys, tmp_path, d, groups):
+        # one purity and one outcome distribution give every number the library gives
+        rho_path, pvm_path = str(tmp_path / "rho.json"), str(tmp_path / "pvm.json")
+        reports.write_matrix_file(rho_path, "density", sample_density(d, d).mat)
+        reports.write_matrix_file(pvm_path, "pvm", sample_pvm(d, d, groups, 6).blocks)
+        rho, _ = reports.load_matrix_file(rho_path, "density")
+        pvm, _ = reports.load_matrix_file(pvm_path, "pvm")
+        with (
+            mock.patch.object(cli, "outcome_probabilities", wraps=cli.outcome_probabilities) as q,
+            mock.patch.object(cli, "purity", wraps=cli.purity) as p,
+        ):
+            res = run_json(capsys, ["entropy", "--in", rho_path, "--pvm", pvm_path])["results"]
+        assert (q.call_count, p.call_count) == (1, 1)
+        expected = {
+            "pvm_logical_entropy": qs.pvm_logical_entropy(rho, pvm),
+            "logical_entropy": qs.logical_entropy(rho),
+            "purity": qs.purity(rho),
+        }
+        if groups is None:
+            measured, off = qs.basis_decomposition_check(rho, pvm)
+            expected["purity_decomposition"] = {
+                "measured_purity": measured, "off_diagonal_mass": off,
+            }
+        else:
+            assert "purity_decomposition" not in res
+        assert_same_plain({k: res[k] for k in expected}, _plain(expected))
+
 
 class TestDivergenceCommand:
     def test_values(self, files, capsys):
@@ -838,6 +868,14 @@ MALFORMED_STATE_FILES = {
     ),
     "vector_indented": (json.dumps(json.loads(_state("vector", _PLUS)), indent=1).encode(),
                         0, ""),
+    # the norm of [1e-200, 0] underflows to 0 unless its largest modulus is factored out
+    "vector_tiny": (
+        _state("vector", "[[1e-200, 0], [0, 0]]"), 3,
+        "validation error: pre vector norm 1e-200 differs from 1 beyond 1.0e-09\n",
+    ),
+    "vector_zero": (
+        _state("vector", "[[0, 0], [0, 0]]"), 3, "validation error: pre vector is zero\n",
+    ),
 }
 
 
