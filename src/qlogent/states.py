@@ -117,12 +117,14 @@ class DensityMatrix:
     @classmethod
     def pure(cls, vec, dims: tuple[int, ...] | None = None) -> "DensityMatrix":
         v = np.asarray(vec, dtype=complex).ravel()
-        # scaled by its largest real or imaginary part first, so the norm can neither
-        # overflow nor underflow; the scale is NaN or inf for a non-finite entry
+        # scaled by its largest real or imaginary part first, so the squared norm lies in
+        # [1, 2d] and cannot overflow or underflow; the scale is NaN or inf for a non-finite
+        # entry. The real view is divided: numpy's complex-by-real division gives NaN when
+        # the scale is subnormal
         scale = np.max(np.abs(v.view(float)), initial=0.0)
         if not 0 < scale < np.inf:
             raise ValidationError("vector is zero or has non-finite entries")
-        v = v / scale
+        v = (v.view(float) / scale).view(complex)
         v = v / np.linalg.norm(v)
         return cls.trusted(np.outer(v, v.conj()), dims)
 

@@ -7,8 +7,6 @@ import math
 import os
 import re
 import struct
-import subprocess
-import sys
 import tracemalloc
 from pathlib import Path
 from unittest import mock
@@ -18,14 +16,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import qlogent
 from qlogent import cli, reports
 from qlogent import linalg as la
 from qlogent import states as qs
 from qlogent.linalg import DimensionMismatchError
 from qlogent.partitions import distribution_logical_entropy
-from qlogent.sampling import sample_density, sample_pvm, sample_state_vector, sample_unitary
+from qlogent.sampling import sample_density, sample_pvm, sample_unitary
 from qlogent.states import DensityMatrix, Pvm, outcome_probabilities, pvm_logical_entropy
+
+import invariance
 
 
 @pytest.fixture
@@ -903,7 +902,7 @@ def test_nest_too_deep_for_orjson_takes_json_path(tmp_path):
     depth = 200_000
     path = tmp_path / "deep.json"
     path.write_bytes(_state("density", "[[[" + "0,[" * depth + "0" + "] " * depth + "]]]"))
-    proc = _cli_subprocess([["entropy", "--in", str(path)]], "1")
+    proc = invariance.cli_subprocess([["entropy", "--in", str(path)]], "1")
     assert proc.stdout == b"exit 2\n"
     assert proc.stderr == _RECURSION.replace("{path}", str(path)).encode()
 
@@ -1508,34 +1507,6 @@ class TestStableJson:
         assert json.loads(reports.dumps_stable(doc)) == doc
 
 
-# Runs each argv (a JSON list on stdin) through cli.main in one interpreter and
-# prints every report followed by its exit code.
-_BATCH_SCRIPT = """
-import json, sys
-from qlogent import cli
-for argv in json.load(sys.stdin):
-    code = cli.main(argv)
-    sys.stdout.write(f"exit {code}\\n")
-"""
-
-
-_PIN_TO_ONE_CPU = "import os\nos.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
-
-
-def _cli_subprocess(argvs, threads: str, one_cpu: bool = False):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(qlogent.__file__))
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        env[var] = threads
-    return subprocess.run(
-        [sys.executable, "-c", (_PIN_TO_ONE_CPU if one_cpu else "") + _BATCH_SCRIPT],
-        input=json.dumps(argvs).encode(),
-        capture_output=True,
-        env=env,
-        timeout=600,
-    )
-
-
 class TestParserReuse:
     """main parses with one parser built at import; no call leaks into the next."""
 
@@ -1566,8 +1537,8 @@ class TestParserReuse:
             ["verify", "--prop", "1a", "--trials", "2"],
             ["entropy", "--in", files["mixed.json"]],
         ]
-        batch = _cli_subprocess(argvs, "1")
-        fresh = [_cli_subprocess([argv], "1") for argv in argvs]
+        batch = invariance.cli_subprocess(argvs, "1")
+        fresh = [invariance.cli_subprocess([argv], "1") for argv in argvs]
         assert batch.returncode == 0, batch.stderr
         assert batch.stdout.count(b"exit 0\n") == len(argvs), batch.stderr
         assert batch.stdout == b"".join(proc.stdout for proc in fresh)
@@ -1582,35 +1553,26 @@ class TestParserReuse:
         assert run(capsys, self.VERIFY) == before
 
 
-class TestBlasThreadDeterminism:
-    """Every eigensolver-using command is byte-identical under 1 and 4 BLAS threads."""
+@pytest.fixture(scope="module")
+def invariance_failures():
+    # the table runs once: every file command at d = 2, 8, 32 and 64 (the eigensolver limit)
+    # and verify at small dims, under 2 (and with more than 2 CPUs 4) BLAS threads, on one
+    # CPU and from indented files against 1 thread on all CPUs; CI runs it at d = 64 through
+    # the installed command. Each failure is "variant: row: ..." or "variant: ran ..."
+    return [failure.split(": ", 1) for failure in invariance.check([2, 8, 32, 64])]
 
-    def test_reports_identical_up_to_the_dimension_limit(self, tmp_path):
-        argvs = []
-        for d in (2, 8, 32, 64):
-            rho, sigma, pvm = (tmp_path / f"{name}_{d}.json" for name in ("rho", "sigma", "pvm"))
-            reports.write_matrix_file(str(rho), "density", sample_density(d, d).mat, (2, d // 2))
-            reports.write_matrix_file(str(sigma), "density", sample_density(d, d, None, 1).mat)
-            write_pvm(pvm, sample_pvm(d, d))
-            pre, post = (tmp_path / f"{name}_{d}.json" for name in ("pre", "post"))
-            reports.write_matrix_file(str(pre), "vector", sample_state_vector(d, d, 2))
-            reports.write_matrix_file(str(post), "vector", sample_state_vector(d, d, 3))
-            argvs += [
-                ["entropy", "--in", str(rho), "--pvm", str(pvm)],
-                ["divergence", str(rho), str(sigma)],
-                ["relative", "--in", str(rho)],
-                ["postselect", "--pre", str(pre), "--post", str(post), "--pvm", str(pvm)],
-                ["sample", "--in", str(rho), "--pvm", str(pvm), "--trials", "20000"],
-            ]
-        # every proposition; prop 6 runs its Haar QR at joint dims 42 and 63 for d = 21,
-        # and at 64 and 96 for d = 32, the largest dim it accepts
-        argvs.append(["verify", "--dims", "2,3,4,21", "--trials", "20", "--seed", "5"])
-        argvs.append(["verify", "--prop", "6", "--dims", "32", "--trials", "20", "--seed", "5"])
-        runs = [_cli_subprocess(argvs, threads) for threads in ("1", "4")]
-        for proc in runs:
-            assert proc.returncode == 0, proc.stderr
-            assert proc.stdout.count(b"exit 0\n") == len(argvs), proc.stderr
-        assert runs[0].stdout == runs[1].stdout
+
+def test_reports_are_invariant_under_threads_cpus_and_indentation(invariance_failures):
+    assert invariance_failures == []
+
+
+class TestBlasThreadDeterminism:
+    """Every report is byte-identical under 1 and 2 (4 on more than 2 CPUs) BLAS threads up to
+    the eigensolver limit; dimensions above it exit 4 before any work."""
+
+    def test_reports_identical_up_to_the_dimension_limit(self, invariance_failures):
+        assert [f for f in invariance_failures
+                if f[0] == "base" or f[0].endswith(" BLAS threads")] == []
 
     def test_prop6_above_its_limit_exits_4_before_any_proposition(self, capsys, monkeypatch):
         def run_proposition(pid, cfg):
@@ -1640,7 +1602,7 @@ class TestBlasThreadDeterminism:
     def test_dimension_above_limit_exits_4(self, tmp_path):
         path = tmp_path / "rho_65.json"
         reports.write_matrix_file(str(path), "density", np.eye(65) / 65)
-        proc = _cli_subprocess([["entropy", "--in", str(path)]], "1")
+        proc = invariance.cli_subprocess([["entropy", "--in", str(path)]], "1")
         assert proc.stdout == b"exit 4\n"
         assert len(proc.stderr.splitlines()) == 1, proc.stderr
         assert proc.stderr.startswith(b"dimension mismatch:")
@@ -1650,19 +1612,9 @@ class TestBlasThreadDeterminism:
 class TestCpuCountDeterminism:
     """sample splits each Monte Carlo chunk over the usable CPUs; its report does not change."""
 
-    def test_sample_identical_on_one_cpu_and_on_all(self, tmp_path):
-        argvs = []
-        for d, groups in ((8, None), (8, [3, 5]), (64, None)):
-            rho, pvm = tmp_path / f"rho_{d}.json", tmp_path / f"pvm_{d}_{groups}.json"
-            reports.write_matrix_file(str(rho), "density", sample_density(d, d).mat)
-            write_pvm(pvm, sample_pvm(d, d, groups))
-            for trials in (2**17 + 1, 2**20 + 3):
-                argvs.append(["sample", "--in", str(rho), "--pvm", str(pvm), "--trials", str(trials)])
-        runs = [_cli_subprocess(argvs, "1", one_cpu) for one_cpu in (True, False)]
-        for proc in runs:
-            assert proc.returncode == 0, proc.stderr
-            assert proc.stdout.count(b"exit 0\n") == len(argvs), proc.stderr
-        assert runs[0].stdout == runs[1].stdout
+    def test_sample_identical_on_one_cpu_and_on_all(self, invariance_failures):
+        assert [f for f in invariance_failures if f[0] in ("base", "one CPU")
+                and f[1].startswith(("sample ", "ran "))] == []
 
 
 # Inputs of the pinned command reports, drawn with numpy.random.default_rng and written

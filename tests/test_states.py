@@ -62,11 +62,13 @@ class TestDensityMatrix:
         with pytest.raises(qs.ValidationError, match="zero or has non-finite entries"):
             qs.DensityMatrix.pure(vec)
 
-    @pytest.mark.parametrize("scale", [1e-300, 1e-170, 1e155, 1e300])
+    @pytest.mark.parametrize("scale", [5e-324, 1e-310, 1e-300, 1e-170, 1e155, 1e300])
     def test_pure_of_tiny_or_huge_vectors(self, scale):
-        # their squared norms underflow to 0 or overflow to inf
+        # their squared norms underflow to 0 or overflow to inf; below 2.2e-308 the entries
+        # are subnormal, and 5e-324 is the smallest
         rho = qs.DensityMatrix.pure(np.array([3.0, 4j]) * scale)
         assert np.allclose(rho.mat, [[0.36, -0.48j], [0.48j, 0.64]], rtol=0, atol=1e-15)
+        assert qs.DensityMatrix.pure([scale, 0]).mat.tolist() == [[1, 0], [0, 0]]
 
 
 class TestStacks:
