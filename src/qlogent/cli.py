@@ -9,17 +9,9 @@ import numpy as np
 
 from . import postselect as ps
 from . import reports
-from .linalg import MAX_EIG_DIM, DimensionMismatchError
+from .linalg import DimensionMismatchError
 from .partitions import distribution_purity
-from .propositions import (
-    PROP6_MAX_DIM,
-    PROPOSITION_IDS,
-    STATUS_COUNTEREXAMPLE,
-    STATUS_VERIFIED,
-    SamplerConfig,
-    two_draw_quantum_mc,
-    verify_proposition,
-)
+from .propositions import run_verify, two_draw_quantum_mc
 from .states import (
     fidelity,
     logical_divergence,
@@ -95,30 +87,7 @@ def cmd_relative(args, rho):
 
 
 def cmd_verify(args):
-    known = list(PROPOSITION_IDS) + ["ssa"]
-    props = known if list(args.prop) == ["all"] else list(args.prop)
-    for i, pid in enumerate(props):
-        if pid not in known or pid in props[:i]:
-            raise ValueError(f"{'repeated' if pid in known else 'unknown'} proposition id {pid!r}")
-    cfg = SamplerConfig(args.seed, args.trials, tuple(args.dims), args.tol)
-    # at the cap, every proposition but 6 over 130 trials peaked at 258 MB of RSS (2-vCPU box)
-    if max(cfg.dims) > MAX_EIG_DIM:
-        raise DimensionMismatchError(
-            f"verify takes dims up to {MAX_EIG_DIM}, the eigensolver limit"
-        )
-    if "6" in props and max(cfg.dims) > PROP6_MAX_DIM:
-        raise DimensionMismatchError(
-            f"prop 6 takes dims up to {PROP6_MAX_DIM}: above, its Haar QR at joint dim 3d"
-            " depends on the BLAS thread count"
-        )
-    results = {}
-    ok = True
-    for pid in props:
-        res = verify_proposition(pid, cfg)
-        results[pid] = res.to_dict()
-        expected = STATUS_COUNTEREXAMPLE if pid == "ssa" else STATUS_VERIFIED
-        if res.status != expected:
-            ok = False
+    results, ok = run_verify(args.prop, args.seed, args.trials, args.dims, args.tol)
     return results, [], EXIT_OK if ok else EXIT_VERIFY
 
 

@@ -15,7 +15,12 @@ from typing import NamedTuple
 import numpy as np
 
 HERMITICITY_TOL = 1e-9
+# rank-1 states read back from their files had zero eigenvalues down to -5.6e-16 at
+# d = 2..64 (5 per d), 1.8e6 times nearer 0 than -PSD_TOL
 PSD_TOL = 1e-9
+# relative's -1 factor, an identity, held within 2.4e-16 (4e6 below it) on file-read states
+# at each factorization of d = 4..64. Where postselect's two entropies are both 0 (one weak
+# value 1), they agreed within 1.1e-12 for |<phi|psi>| >= 1e-10, but not at 1.5e-12 (9e-9)
 EQ_TOL = 1e-9
 MAX_EIG_DIM = 64
 

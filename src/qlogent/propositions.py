@@ -32,7 +32,7 @@ TRIALS_PER_BLOCK = 128  # even, so a trial's parity is its row's parity
 _MAX_FAILURE_EXAMPLES = 10
 # Prop 6 samples Haar unitaries on joint spaces of dimension 2d and 3d. Their LAPACK
 # QR (sampling.sample_unitaries) was identical under 1 and 4 BLAS threads up to
-# dimension 96 and differed from 100 up, so verify refuses prop 6 above d = 96 / 3.
+# dimension 96 and differed from 100 up, so run_verify refuses prop 6 above d = 96 / 3.
 PROP6_MAX_DIM = 32
 
 
@@ -280,6 +280,9 @@ _CHECKERS = {
 
 PROPOSITION_IDS = tuple(_CHECKERS)
 
+# every id verify takes, in the order 'all' runs them, and the status its report must carry
+VERIFY_STATUS = {**dict.fromkeys(PROPOSITION_IDS, STATUS_VERIFIED), "ssa": STATUS_COUNTEREXAMPLE}
+
 
 def block_violations(prop_id: str, seed: int, dim: int, block: int, n: int) -> np.ndarray:
     """Violations of trials block * TRIALS_PER_BLOCK + (0..n-1) of one proposition at one dim.
@@ -311,14 +314,36 @@ def verify_proposition(prop_id: str, cfg: SamplerConfig) -> PropositionResult:
             n_failures += failing.size
             room = _MAX_FAILURE_EXAMPLES - len(examples)
             examples += [[cfg.seed, dim, start + int(t), float(v[t])] for t in failing[:room]]
-    return PropositionResult(
-        proposition=prop_id,
-        trials_run=len(cfg.dims) * cfg.trials,
-        failure_count=n_failures,
-        worst_violation=worst,
-        failure_examples=examples,
-        status=STATUS_VERIFIED if n_failures == 0 else STATUS_VIOLATED,
-    )
+    status = STATUS_VERIFIED if n_failures == 0 else STATUS_VIOLATED
+    trials_run = len(cfg.dims) * cfg.trials
+    return PropositionResult(prop_id, trials_run, n_failures, worst, examples, status)
+
+
+def run_verify(prop_ids, seed: int, trials: int, dims, tolerance: float) -> tuple[dict, bool]:
+    """verify's contract: ({id: report} of prop_ids, every VERIFY_STATUS id for ['all'], and
+    whether each has its VERIFY_STATUS). Before any run it refuses, in turn, an unknown or
+    repeated id, a bad SamplerConfig, dims over la.MAX_EIG_DIM, prop 6 over PROP6_MAX_DIM."""
+    props = list(VERIFY_STATUS) if list(prop_ids) == ["all"] else list(prop_ids)
+    for i, pid in enumerate(props):
+        if pid not in VERIFY_STATUS:
+            raise ValueError(f"unknown proposition id {pid!r}")
+        if pid in props[:i]:
+            raise ValueError(f"repeated proposition id {pid!r}")
+    cfg = SamplerConfig(seed, trials, tuple(dims), tolerance)
+    # at the cap, every proposition but 6 over 130 trials peaked at 258 MB of RSS (2-vCPU box)
+    if max(cfg.dims) > la.MAX_EIG_DIM:
+        raise la.DimensionMismatchError(
+            f"verify takes dims up to {la.MAX_EIG_DIM}, the eigensolver limit"
+        )
+    if "6" in props and max(cfg.dims) > PROP6_MAX_DIM:
+        raise la.DimensionMismatchError(
+            f"prop 6 takes dims up to {PROP6_MAX_DIM}: above, its Haar QR at joint dim 3d"
+            " depends on the BLAS thread count"
+        )
+    # called by its module-global name, so a tracer that rebinds it sees every id
+    results = {pid: verify_proposition(pid, cfg) for pid in props}
+    ok = all(res.status == VERIFY_STATUS[pid] for pid, res in results.items())
+    return {pid: res.to_dict() for pid, res in results.items()}, ok
 
 
 def _ssa_witness() -> DensityMatrix:
@@ -351,14 +376,8 @@ def strong_subadditivity_search(cfg: SamplerConfig) -> PropositionResult:
         witness = {"seed": cfg.seed, "trial": 0, "violation": gap, "dims": [2, 2, 2]}
         witness["matrix"] = matrix_to_pairs(rho.mat)
         return PropositionResult("ssa", 1, 0, 0.0, status=STATUS_COUNTEREXAMPLE, witness=witness)
-    return PropositionResult(
-        proposition="ssa",
-        trials_run=1,
-        failure_count=1,
-        worst_violation=0.0,
-        status=STATUS_NOT_FOUND,
-        note=f"the witness gap is not above {SSA_MIN_VIOLATION}",
-    )
+    note = f"the witness gap is not above {SSA_MIN_VIOLATION}"
+    return PropositionResult("ssa", 1, 1, 0.0, status=STATUS_NOT_FOUND, note=note)
 
 
 def two_draw_quantum_mc(rho: DensityMatrix, pvm: Pvm, trials: int, seed: int) -> float:

@@ -22,14 +22,18 @@ from .linalg import (
 )
 from .partitions import distribution_purity
 
+# |tr rho - 1| of a density file, | ||v|| - 1 | of a vector file and |tr B_i - 1| of a fine
+# PVM file were at most 4.4e-16, 2.2e-16 and 1.7e-15 (6e5 below it) in write_matrix_file
+# round trips of 5 full-rank and 5 rank-1 states, vectors and Haar PVMs at each d = 2..64
 TRACE_TOL = 1e-9
 OUTCOME_EPS = 1e-12
-# Pvm.__init__ tries its one-eigensolve certificate (_certificate) only from this many
-# pairs k(k-1)/2 on. Measured when it certified orthogonality alone, in-process on a
-# 2-vCPU box, one BLAS thread, scan vs certificate: it lost at 28-45 pairs below d = 16
-# (fine d = 8: 0.12 vs 0.16 ms), tied at 55-78 (fine d = 11-13), and won from 91 (fine
-# d = 14: 0.39 vs 0.35 ms; d = 16: 0.54 vs 0.42 ms), medians of 41; fine d = 64: 75 vs
-# 4.2 ms, best of 9. 28 pairs keep the 8-outcome PVM of sample on the scan.
+# Pvm.__init__ tries its one-eigensolve certificate (_certificate), which stands in for the
+# pairwise scan and _check_blocks, only from this many pairs k(k-1)/2 on. In-process on a
+# 2-vCPU box, one BLAS thread, min of 5 medians of 41 calls, scan path vs certificate: fine
+# d = 8 (28 pairs, sample's 8-outcome PVM) 0.13 vs 0.15 ms, d = 10 (45) 0.19 vs 0.19, d = 12
+# (66) 0.25 vs 0.20, d = 13 (78) 0.30 vs 0.21, d = 16 (120) 0.49 vs 0.27, d = 64 (medians
+# of 9) 134 vs 5.2; a coarse 2-block d = 64 PVM 0.33 vs 0.85. No benchmark PVM has 29-77
+# pairs, so no workload would gain from moving it.
 CERTIFY_MIN_PAIRS = 78
 
 

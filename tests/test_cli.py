@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from qlogent import cli, reports
 from qlogent import linalg as la
+from qlogent import propositions as pr
 from qlogent import states as qs
 from qlogent.linalg import DimensionMismatchError
 from qlogent.partitions import distribution_logical_entropy
@@ -157,6 +158,16 @@ def run_json(capsys, argv):
     return json.loads(out)
 
 
+@pytest.fixture
+def no_proposition_runs(monkeypatch):
+    """Fails the test if verify runs a proposition: its refusals all come first."""
+
+    def run_proposition(pid, cfg):
+        raise AssertionError(f"proposition {pid} ran")
+
+    monkeypatch.setattr(pr, "verify_proposition", run_proposition)
+
+
 class TestEntropyCommand:
     def test_pure_state(self, files, capsys):
         doc = run_json(capsys, ["entropy", "--in", files["plus_density.json"]])
@@ -288,6 +299,25 @@ class TestVerifyCommand:
         code, _, err = run(capsys, ["verify", "--prop", "99", "--trials", "5"])
         assert code == 3
         assert "validation" in err
+
+    @pytest.mark.parametrize("flags, code, err", [
+        # the ids first, whatever else is wrong
+        (["--prop", "1a,zz", "--seed", "-1"], 3, "validation error: unknown proposition id 'zz'"),
+        (["--prop", "zz", "--dims", "65"], 3, "validation error: unknown proposition id 'zz'"),
+        (["--prop", "6,6", "--dims", "33"], 3, "validation error: repeated proposition id '6'"),
+        # then the sampler config, ahead of both dimension limits
+        (["--dims", "65", "--trials", "0"], 3, "validation error: trials must be >= 1"),
+        (["--prop", "6", "--dims", "2,2,33"], 3,
+         "validation error: dims [2, 2, 33] name a dimension more than once"),
+        # then the eigensolver limit, ahead of prop 6's
+        (["--prop", "6", "--dims", "65"], 4,
+         "dimension mismatch: verify takes dims up to 64, the eigensolver limit"),
+        (["--prop", "1a,6", "--dims", "2,33"], 4,
+         "dimension mismatch: prop 6 takes dims up to 32: above, its Haar QR at joint dim 3d"
+         " depends on the BLAS thread count"),
+    ])
+    def test_refusal_order(self, capsys, no_proposition_runs, flags, code, err):
+        assert run(capsys, ["verify", *flags]) == (code, "", err + "\n")
 
     def test_default_report_numbers_are_pinned(self, capsys):
         # a checker refactor must not move a worst_violation, a count or the witness. The
@@ -639,13 +669,9 @@ class TestMalformedInput:
         ],
     )
     def test_verify_ids_and_dims_are_checked_before_any_run(
-        self, capsys, monkeypatch, flags, phrase
+        self, capsys, no_proposition_runs, flags, phrase
     ):
         # a repeated id or dim would count the same seeded trials twice
-        def never(*_):
-            raise AssertionError("a proposition ran")
-
-        monkeypatch.setattr(cli, "verify_proposition", never)
         code, out, err = run(capsys, ["verify", "--trials", "3", *flags])
         assert (code, out) == (3, "")
         assert len(err.splitlines()) == 1 and phrase in err, err
@@ -1574,11 +1600,9 @@ class TestBlasThreadDeterminism:
         assert [f for f in invariance_failures
                 if f[0] == "base" or f[0].endswith(" BLAS threads")] == []
 
-    def test_prop6_above_its_limit_exits_4_before_any_proposition(self, capsys, monkeypatch):
-        def run_proposition(pid, cfg):
-            raise AssertionError(f"proposition {pid} ran")
-
-        monkeypatch.setattr(cli, "verify_proposition", run_proposition)
+    def test_prop6_above_its_limit_exits_4_before_any_proposition(
+        self, capsys, no_proposition_runs
+    ):
         code, out, err = run(capsys, ["verify", "--prop", "1a,6", "--dims", "2,33"])
         assert (code, out) == (4, "")
         assert len(err.splitlines()) == 1 and err.startswith("dimension mismatch: prop 6")
@@ -1588,13 +1612,9 @@ class TestBlasThreadDeterminism:
         [["--prop", "1a", "--dims", "65", "--trials", "2"], ["--dims", "1500", "--trials", "128"]],
     )
     def test_verify_dims_above_the_eigensolver_limit_exit_4_before_any_proposition(
-        self, capsys, monkeypatch, flags
+        self, capsys, no_proposition_runs, flags
     ):
         # at d = 1500 a 128-trial block would allocate 4.3 GiB stacks
-        def run_proposition(pid, cfg):
-            raise AssertionError(f"proposition {pid} ran")
-
-        monkeypatch.setattr(cli, "verify_proposition", run_proposition)
         code, out, err = run(capsys, ["verify", *flags])
         assert (code, out) == (4, "")
         assert err == "dimension mismatch: verify takes dims up to 64, the eigensolver limit\n"

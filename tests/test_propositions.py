@@ -99,6 +99,35 @@ class TestVerifyProposition:
         assert res.to_dict() == rerun.to_dict()
 
 
+class TestRunVerify:
+    @staticmethod
+    def reporting(monkeypatch, status_of):
+        """Replace verify_proposition by one that records each id it runs and reports the
+        status status_of(id), without running a checker."""
+        ran = []
+
+        def run_proposition(pid, cfg):
+            ran.append(pid)
+            return pr.PropositionResult(pid, cfg.trials, 0, 0.0, status=status_of(pid))
+
+        monkeypatch.setattr(pr, "verify_proposition", run_proposition)
+        return ran
+
+    def test_all_runs_every_id_of_the_table_in_order(self, monkeypatch):
+        ran = self.reporting(monkeypatch, pr.VERIFY_STATUS.get)
+        results, ok = pr.run_verify(["all"], 1, 2, [2], 1e-9)
+        assert ran == list(results) == [*pr.PROPOSITION_IDS, "ssa"]
+        assert ok and results["ssa"]["status"] == pr.STATUS_COUNTEREXAMPLE
+
+    def test_a_new_id_is_one_table_row(self, monkeypatch):
+        # verify passes only if each id's report carries the status its row names
+        monkeypatch.setitem(pr.VERIFY_STATUS, "new", pr.STATUS_COUNTEREXAMPLE)
+        self.reporting(monkeypatch, lambda pid: pr.STATUS_COUNTEREXAMPLE)
+        assert pr.run_verify(["new"], 1, 1, [2], 1e-9)[1] is True
+        assert pr.run_verify(["1a", "new"], 1, 1, [2], 1e-9)[1] is False
+        assert list(pr.run_verify(["all"], 1, 1, [2], 1e-9)[0])[-1] == "new"
+
+
 def majorization_excess(y, x):
     """max over k < d of (sum of the k largest x) - (sum of the k largest y); for equal traces,
     y majorizes x iff <= 0 (k = d compares the traces alone)."""

@@ -239,8 +239,7 @@ class TestOrthogonalityScan:
         assert serial_first_overlap(blocks) == min(pairs, default=None)
         assert started_threads == []
 
-    def test_no_thread_for_small_pvms(self, monkeypatch, started_threads):
-        monkeypatch.setattr(pt, "_usable_cpus", lambda: 2)
+    def test_no_thread_for_small_pvms(self, started_threads):
         qs.Pvm(list(sample_pvm(1, 8).blocks))  # the 8-outcome PVM of a sample run
         qs.Pvm(list(sample_pvm(1, 64, [32, 32]).blocks))
         fine = sample_pvm(1, 32).blocks
