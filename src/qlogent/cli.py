@@ -7,11 +7,12 @@ import sys
 
 import numpy as np
 
+from . import __version__
 from . import postselect as ps
 from . import reports
 from .linalg import DimensionMismatchError
 from .partitions import distribution_purity
-from .propositions import run_verify, two_draw_quantum_mc
+from .propositions import VERIFY_STATUS, run_verify, two_draw_quantum_mc
 from .states import (
     fidelity,
     logical_divergence,
@@ -185,7 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--prop",
         type=lambda s: s.split(","),
         default=("all",),
-        help="comma-separated proposition ids (1a..12, ssa) or 'all'",
+        help=f"comma-separated proposition ids ({', '.join(VERIFY_STATUS)}) or 'all'",
     )
     p.add_argument("--dims", type=_int_list, default=(2, 3, 4))
     p.add_argument("--trials", type=int, default=1000)
@@ -222,10 +223,15 @@ def main(argv=None) -> int:
             if (path := getattr(args, dest)) is not None:
                 loaded[name], inputs[name] = reports.load_matrix_file(path, kind)
         results, warnings, *code = args.func(args, **loaded)
-        echo = {k: v for k, v in sorted(vars(args).items()) if k not in ("func", "files")}
-        report = reports.run_report(
-            args.subcommand, echo, inputs, results, warnings, getattr(args, "seed", None)
-        )
+        report = {
+            "command": args.subcommand,
+            "args": {k: v for k, v in vars(args).items() if k not in ("func", "files")},
+            "inputs": inputs,
+            "results": results,
+            "warnings": warnings,
+            "seed": getattr(args, "seed", None),
+            "tool": {"name": "qlogent", "version": __version__},
+        }
         sys.stdout.write(reports.dumps_stable(report))
         sys.stdout.write("\n")
         return code[0] if code else EXIT_OK

@@ -310,10 +310,6 @@ class Pvm:
     def computational(cls, dim: int, groups: list[int] | None = None) -> "Pvm":
         return cls.from_basis(np.eye(dim, dtype=complex), groups)
 
-    @classmethod
-    def trivial(cls, dim: int) -> "Pvm":
-        return cls([np.eye(dim, dtype=complex)])
-
 
 def _check_same_dim(a: DensityMatrix, b: DensityMatrix) -> None:
     if a.dim != b.dim:

@@ -1317,14 +1317,20 @@ def test_orjson_reads_every_array_of_a_compact_file(large_inputs, monkeypatch):
 
 @pytest.mark.parametrize("value", ['"1"', "{}", "true", "false", "null"])
 def test_orjson_read_of_a_non_number_takes_the_leaf_check(tmp_path, monkeypatch, value):
-    # orjson reads each of these values, and the byte that opens it keeps the full check
+    # the byte that opens each of these values sends its span past orjson to json, whose
+    # array the full leaf check refuses
+    spy = mock.Mock(wraps=reports.orjson)
     decode = mock.Mock(wraps=reports.pairs_to_array)
+    monkeypatch.setattr(reports, "orjson", spy)
     monkeypatch.setattr(reports, "pairs_to_array", decode)
     path = tmp_path / "v.json"
     path.write_text(f'{{"kind":"vector","matrix":[[0.5,{value}],[1e3,-0]]}}')
-    with pytest.raises(reports.ParseError, match=r"pairs of finite numbers$"):
+    with pytest.raises(reports.ParseError) as exc:
         reports.load_matrix_file(str(path), "vector")
-    assert decode.call_args_list[0].kwargs == {"numbers": False}
+    assert str(exc.value) == f"{path}: expected [re, im] pairs of finite numbers"
+    assert spy.loads.call_count == 0
+    assert decode.called
+    assert all(c.kwargs == {} for c in decode.call_args_list)
 
 
 class TestMatrixFileRoundTrip:

@@ -462,7 +462,7 @@ class TestMeasuredState:
 
     def test_trivial_pvm_is_identity_map(self):
         rho = sample_density(0, 3)
-        out = qs.measured_state(rho, qs.Pvm.trivial(3))
+        out = qs.measured_state(rho, qs.Pvm.computational(3, [3]))
         assert np.max(np.abs(out.mat - rho.mat)) <= 1e-12
 
     def test_idempotent(self):
