@@ -14,6 +14,11 @@ from typing import NamedTuple
 
 import numpy as np
 
+# in write_matrix_file round trips of 5 full-rank and 5 rank-1 states and 5 Haar fine and 5
+# coarse PVMs at each d = 2..64, the sampled density files were exactly Hermitian (G G^dag/tr
+# unsymmetrised: 5.8e-17, 1.7e7 below it); PVM files reached 1.1e-16 in B_i - B_i^dag (8.8e6
+# below; fine blocks exact), 6.7e-16 in B_i^2 - B_i (1.5e6), 1.2e-15 in sum B_i - I (8.2e5)
+# and 2.6e-16 in B_i B_j, i != j (3.8e6)
 HERMITICITY_TOL = 1e-9
 # rank-1 states read back from their files had zero eigenvalues down to -5.6e-16 at
 # d = 2..64 (5 per d), 1.8e6 times nearer 0 than -PSD_TOL

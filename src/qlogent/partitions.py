@@ -5,7 +5,6 @@ from __future__ import annotations
 import os
 import threading
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -129,7 +128,11 @@ def distinct_pair_fraction(p: np.ndarray, trials: int, rng: np.random.Generator)
     lays them out, so each chunk splits into even shares drawn from
     counter-offset sub-streams: one per usable CPU, but none with fewer than
     MC_MIN_SHARE pairs of the first chunk. The estimate does not depend on
-    the split.
+    the split. Share 0 runs on the calling thread and each other share on a
+    thread of its own; numpy's kernels release the GIL, so the shares overlap,
+    and an exception from any share is re-raised on the caller. Shares call no
+    public qlogent function: perfbench's tracer rebinds those and keeps one
+    span stack per process.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -140,9 +143,24 @@ def distinct_pair_fraction(p: np.ndarray, trials: int, rng: np.random.Generator)
     key = state["state"]["key"]
     cdf = np.cumsum(p)
     cdf /= cdf[-1]
-    counts = _split_over_cpus(
-        partial(_count_share, cdf, key, trials), min(MC_CHUNK, trials) // MC_MIN_SHARE
-    )
+    workers = max(1, min(_usable_cpus(), min(MC_CHUNK, trials) // MC_MIN_SHARE))
+    counts: list = [None] * workers
+
+    def run(w: int) -> None:
+        try:
+            counts[w] = _count_share(cdf, key, trials, w, workers)
+        except Exception as exc:  # re-raised on the calling thread
+            counts[w] = exc
+
+    threads = [threading.Thread(target=run, args=(w,)) for w in range(1, workers)]
+    for t in threads:
+        t.start()
+    run(0)
+    for t in threads:
+        t.join()
+    for c in counts:
+        if isinstance(c, Exception):
+            raise c
     return sum(counts) / trials
 
 
@@ -187,34 +205,3 @@ def _usable_cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
-
-
-def _split_over_cpus(task, most: int) -> list:
-    """[task(w, n) for w in range(n)] for n = min(usable CPUs, most), at least 1.
-
-    Task 0 runs on the calling thread and each other task on a thread of its
-    own; numpy's kernels release the GIL, so the tasks overlap. An exception
-    from any task is re-raised on the caller. Tasks must call no public
-    qlogent function: perfbench's tracer rebinds those and keeps one span
-    stack per process. Being private, this helper leaves its time in its
-    caller's traced layer.
-    """
-    workers = max(1, min(_usable_cpus(), most))
-    out: list = [None] * workers
-
-    def run(w: int) -> None:
-        try:
-            out[w] = task(w, workers)
-        except Exception as exc:  # re-raised on the calling thread
-            out[w] = exc
-
-    threads = [threading.Thread(target=run, args=(w,)) for w in range(1, workers)]
-    for t in threads:
-        t.start()
-    run(0)
-    for t in threads:
-        t.join()
-    for r in out:
-        if isinstance(r, Exception):
-            raise r
-    return out

@@ -54,8 +54,7 @@ class SamplerConfig:
             raise ValueError(f"dims {list(self.dims)} name a dimension more than once")
         if not 0.0 <= self.tolerance < float("inf"):
             raise ValueError(f"tolerance must be finite and >= 0, got {self.tolerance}")
-        if not 0 <= self.seed < sp._PHILOX_KEY_LIMIT:
-            raise ValueError(f"seed {self.seed} is outside the Philox key range [0, 2^64)")
+        sp.check_seed(self.seed)
 
 
 @dataclass

@@ -12,19 +12,21 @@ import numpy as np
 
 from .states import DensityMatrix, Pvm
 
-_PHILOX_KEY_LIMIT = 1 << 64
+
+def check_seed(seed: int) -> None:
+    """Reject a seed outside [0, 2^64) rather than wrap it, so no two seeds alias."""
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed {seed} is outside the Philox key range [0, 2^64)")
 
 
 def rng_for(seed: int, *stream: int) -> np.random.Generator:
     """Independent generator for one (seed, stream) cell of the trial grid.
 
-    The seed and every stream word, each in [0, 2^64), are hashed with the
-    stream length into the Philox key, so tuples that differ anywhere give
-    different generators. Seeds outside that range are rejected rather than
-    wrapped, so no two seeds alias.
+    The seed (checked by check_seed) and every stream word, each in [0, 2^64),
+    are hashed with the stream length into the Philox key, so tuples that
+    differ anywhere give different generators.
     """
-    if not 0 <= seed < _PHILOX_KEY_LIMIT:
-        raise ValueError(f"seed {seed} is outside the Philox key range [0, 2^64)")
+    check_seed(seed)
     words = np.array([seed, len(stream), *stream], dtype=np.uint64).view(np.uint32)
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(words)))
 

@@ -19,8 +19,8 @@ except ImportError:
 
 @pytest.fixture
 def started_threads(monkeypatch):
-    """List that collects every thread started through threading.Thread, such as the CPU
-    split's (partitions._split_over_cpus)."""
+    """List that collects every thread started through threading.Thread, such as the Monte
+    Carlo's (partitions.distinct_pair_fraction)."""
     started = []
 
     class CountingThread(threading.Thread):

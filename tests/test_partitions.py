@@ -2,6 +2,7 @@ import functools
 import itertools
 import threading
 import tracemalloc
+import types
 from fractions import Fraction
 
 import numpy as np
@@ -408,6 +409,23 @@ class TestWorkerSplit:
         monkeypatch.setattr(pt, "_count_distinct", failing)
         with pytest.raises(MemoryError, match="worker"):
             pt.distinct_pair_fraction(probabilities(8), pt.MC_CHUNK, rng_for(1))
+
+
+class TestUsableCpus:
+    """Where os has no sched_getaffinity, the usable CPUs are os.cpu_count(), or 1 when that
+    is unknown."""
+
+    @pytest.mark.parametrize("count", [3, None])
+    def test_cpu_count_fallback(self, monkeypatch, count):
+        monkeypatch.setattr(pt, "os", types.SimpleNamespace(cpu_count=lambda: count))
+        assert pt._usable_cpus() == (count or 1)
+
+    def test_unknown_cpu_count_draws_on_the_calling_thread(self, monkeypatch, started_threads):
+        monkeypatch.setattr(pt, "os", types.SimpleNamespace(cpu_count=lambda: None))
+        trials = pt.MC_CHUNK + 3
+        got = pt.distinct_pair_fraction(probabilities(8), trials, rng_for(7, 8))
+        assert got == cached_choice_reference(8, trials)
+        assert started_threads == []
 
 
 class TestMemoryBound:
