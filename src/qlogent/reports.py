@@ -9,7 +9,6 @@ from contextlib import suppress
 from itertools import chain
 
 import numpy as np
-import orjson
 
 from . import linalg as la
 from .states import DensityMatrix, Pvm
@@ -79,6 +78,9 @@ def _decode_json(text: str, kind: str):
     and it is kept if it decodes. Any other outcome steps aside to json's own scanner for
     the rest of the document, so json decides every refusal and its message; an indented
     file never opens with that run."""
+    # imported on the first read, not with the module: mapping orjson adds about 0.8 MB to
+    # a process's peak RSS, which verify, the one command that reads no file, need not pay
+    import orjson
     decoder = json.JSONDecoder(parse_constant=_reject_constant)
     scan = decoder.scan_once  # json's own scanner, which makes every grammar decision
     ndim = 1 if kind == "vector" else 2

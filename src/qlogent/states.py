@@ -313,7 +313,7 @@ class Pvm:
 
 def _check_same_dim(a: DensityMatrix, b: DensityMatrix) -> None:
     if a.dim != b.dim:
-        raise DimensionMismatchError(f"dimension mismatch {a.dim} vs {b.dim}")
+        raise DimensionMismatchError(f"state dims {a.dim} vs {b.dim}")
 
 
 def purity(rho: DensityMatrix) -> float:

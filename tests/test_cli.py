@@ -7,11 +7,13 @@ import math
 import os
 import re
 import struct
+import sys
 import tracemalloc
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -528,6 +530,13 @@ class TestExitCodes:
         write_pvm(pvm3, Pvm.computational(3))
         argv = [files.get(a, a) for a in command] + ["--pvm", str(pvm3)]
         assert run(capsys, argv) == (4, "", "dimension mismatch: PVM dim 3 vs state dim 2\n")
+
+    def test_states_of_two_dimensions(self, files, capsys, tmp_path):
+        # divergence names both states' dimensions in one line
+        mixed3 = tmp_path / "mixed3.json"
+        reports.write_matrix_file(str(mixed3), "density", np.eye(3) / 3)
+        argv = ["divergence", files["plus_density.json"], str(mixed3)]
+        assert run(capsys, argv) == (4, "", "dimension mismatch: state dims 2 vs 3\n")
 
 
 class TestUsageErrors:
@@ -1160,15 +1169,15 @@ def test_odd_value_at_the_pair_level(ndim, odd):
     assert str(got.value) == str(expected.value)
 
 
-# in place of the orjson module in reports: every read steps aside to json
+# in place of the orjson module that reports imports on a read: every read steps aside to json
 _ORJSON_OFF = mock.Mock(**{"loads.side_effect": ValueError("orjson is off")})
 
 
-def _decoded(text, kind, orjson=reports.orjson):
+def _decoded(text, kind, orjson=orjson):
     """reports._decode_json's document, or its error, as a flat list of tokens in which
     arrays and floats are their bytes, so that == compares types and bits (built without
     recursion: a document may nest a thousand levels deep)."""
-    with mock.patch.object(reports, "orjson", orjson):
+    with mock.patch.dict(sys.modules, orjson=orjson):
         try:
             stack = [reports._decode_json(text, kind)]
         except (ValueError, RecursionError) as exc:
@@ -1293,9 +1302,9 @@ def test_orjson_reads_what_json_reads(case):
 
 
 def test_orjson_reads_every_array_of_a_compact_file(large_inputs, monkeypatch):
-    spy = mock.Mock(wraps=reports.orjson)
+    spy = mock.Mock(wraps=orjson)
     decode = mock.Mock(wraps=reports.pairs_to_array)
-    monkeypatch.setattr(reports, "orjson", spy)
+    monkeypatch.setitem(sys.modules, "orjson", spy)
     monkeypatch.setattr(reports, "pairs_to_array", decode)
     rho_path, pvm_path = large_inputs
     rho, _ = reports.load_matrix_file(str(rho_path), "density")
@@ -1319,9 +1328,9 @@ def test_orjson_reads_every_array_of_a_compact_file(large_inputs, monkeypatch):
 def test_orjson_read_of_a_non_number_takes_the_leaf_check(tmp_path, monkeypatch, value):
     # the byte that opens each of these values sends its span past orjson to json, whose
     # array the full leaf check refuses
-    spy = mock.Mock(wraps=reports.orjson)
+    spy = mock.Mock(wraps=orjson)
     decode = mock.Mock(wraps=reports.pairs_to_array)
-    monkeypatch.setattr(reports, "orjson", spy)
+    monkeypatch.setitem(sys.modules, "orjson", spy)
     monkeypatch.setattr(reports, "pairs_to_array", decode)
     path = tmp_path / "v.json"
     path.write_text(f'{{"kind":"vector","matrix":[[0.5,{value}],[1e3,-0]]}}')

@@ -21,16 +21,41 @@ print(json.dumps(loaded))
 """
 
 
-def test_each_module_imports_first_and_layers_hold():
+def _fresh_interpreter(script: str):
+    """The JSON that script prints, run in a new interpreter on this qlogent."""
     src = os.path.dirname(os.path.dirname(qlogent.__file__))
     proc = subprocess.run(
-        [sys.executable, "-c", IMPORT_EACH_FIRST], capture_output=True, text=True,
+        [sys.executable, "-c", script], capture_output=True, text=True,
         env=dict(os.environ, PYTHONPATH=src), timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    loaded = json.loads(proc.stdout)
+    return json.loads(proc.stdout)
+
+
+def test_each_module_imports_first_and_layers_hold():
+    loaded = _fresh_interpreter(IMPORT_EACH_FIRST)
     assert "cli" in loaded, loaded
     # partitions, the classical layer, is the base module: it imports no other qlogent module
     assert loaded["partitions"] == ["partitions"]
     # the post-selected layer builds on the quantum one (states) and through it on partitions
     assert loaded["postselect"] == ["linalg", "partitions", "postselect", "states"]
+
+
+# verify reads no file, so it never maps orjson; the first matrix-file read does
+ORJSON_ON_FIRST_READ = """
+import contextlib, io, json, os, sys, tempfile
+import numpy as np
+from qlogent import cli, reports
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(["verify", "--prop", "1a", "--dims", "2", "--trials", "2"])
+after_verify = "orjson" in sys.modules
+with tempfile.TemporaryDirectory() as tmp:
+    path = os.path.join(tmp, "rho.json")
+    reports.write_matrix_file(path, "density", np.eye(2) / 2)
+    reports.load_matrix_file(path, "density")
+print(json.dumps([code, after_verify, "orjson" in sys.modules]))
+"""
+
+
+def test_orjson_is_imported_by_the_first_matrix_file_read_only():
+    assert _fresh_interpreter(ORJSON_ON_FIRST_READ) == [0, False, True]
