@@ -13,8 +13,8 @@ import numpy as np
 # so sum_i tr(B_i rho) may miss 1 by about d * HERMITICITY_TOL (3.0e-8 measured at d = 64)
 PROB_SUM_TOL = 1e-9
 MC_CHUNK = 1 << 20  # draw pairs per Monte Carlo chunk; fixes only the draw layout
-# pairs drawn and binned per pass, bounding memory: 1.25 MB of buffers per worker, inside a
-# 2 MiB L2. Speed against whole-chunk buffers (2 threads, 2e6 pairs, 8 outcomes, 40 interleaved
+# pairs drawn and binned per pass, bounding memory: 640 KB of buffers per worker. Two-row
+# tiles (1.25 MB) against whole-chunk buffers (2 threads, 2e6 pairs, 8 outcomes, 40 interleaved
 # calls, 2-vCPU Xeon): 2^13 6% slower, 2^14 3% faster, 2^15 17%, 2^16 20% (won 37/40), 2^17 10%
 MC_TILE = 1 << 16
 MC_COUNTED_OUTCOMES = 64  # up to this many outcomes, bins are counted, not binary-searched
@@ -167,38 +167,38 @@ def distinct_pair_fraction(p: np.ndarray, trials: int, rng: np.random.Generator)
 def _count_share(cdf: np.ndarray, key, trials: int, w: int, workers: int) -> int:
     """Distinct pairs in share w of every chunk, split evenly into `workers` shares."""
     size = min(MC_TILE, -(-min(MC_CHUNK, trials) // workers))
-    u = np.empty((2, size))
-    draws = np.empty((2, size), dtype=np.uint8)
-    mask = np.empty((2, size), dtype=bool)
+    u, mask = np.empty(size), np.empty(size, dtype=bool)
+    diff = np.empty(size, dtype=np.intp if cdf.size > MC_COUNTED_OUTCOMES else np.uint8)
     distinct = 0
     for s in range(0, trials, MC_CHUNK):
         n = min(MC_CHUNK, trials - s)
         a, b = n * w // workers, n * (w + 1) // workers
-        gens = []
+        rows = []
         for draw in (2 * s + a, 2 * s + n + a):
             bits = np.random.Philox(counter=draw // 4, key=key)
             bits.random_raw(draw % 4)
-            gens.append(np.random.Generator(bits))
+            rows.append(np.random.Generator(bits).random)
         for t in range(a, b, MC_TILE):  # each random() call continues its generator's stream
             m = min(MC_TILE, b - t)
-            for row, gen in enumerate(gens):
-                gen.random(out=u[row, :m])
-            distinct += _count_distinct(cdf, u[:, :m], draws[:, :m], mask[:, :m])
+            distinct += _count_tile(cdf, rows, u[:m], diff[:m], mask[:m])
     return distinct
 
 
-def _count_distinct(cdf: np.ndarray, u: np.ndarray, draws: np.ndarray, mask: np.ndarray) -> int:
-    """Columns of the (2, m) uniforms u whose two outcomes differ; draws and mask are scratch."""
-    if cdf.size > MC_COUNTED_OUTCOMES:
-        outcomes = cdf.searchsorted(u, side="right")
-        return int(np.count_nonzero(outcomes[0] != outcomes[1]))
-    # outcome = number of boundaries <= u; cdf[-1] == 1 > u, so one outcome gives 0
-    np.greater_equal(u, cdf[0], out=draws.view(bool))
-    for c in cdf[1:-1]:
-        np.greater_equal(u, c, out=mask)
-        np.add(draws, mask.view(np.uint8), out=draws)
-    np.not_equal(draws[0], draws[1], out=mask[0])
-    return int(np.count_nonzero(mask[0]))
+def _count_tile(cdf: np.ndarray, rows, u: np.ndarray, diff: np.ndarray, mask: np.ndarray) -> int:
+    """Pairs whose outcomes differ among the uniforms that rows[0](out=u), then rows[1](out=u),
+    draw; u, diff (intp above MC_COUNTED_OUTCOMES, else uint8) and mask are scratch rows."""
+    diff.fill(0)
+    # outcome = number of boundaries <= u (cdf[-1] == 1 > u), so row 0's minus row 1's is 0
+    # only where they are equal; in uint8 mod 256 too, as counted outcomes are below 64
+    for row, op in zip(rows, (np.add, np.subtract)):
+        row(out=u)
+        if cdf.size > MC_COUNTED_OUTCOMES:
+            op(diff, cdf.searchsorted(u, side="right"), out=diff)
+        else:
+            for c in cdf[:-1]:
+                np.greater_equal(u, c, out=mask)
+                op(diff, mask.view(np.uint8), out=diff)
+    return int(np.count_nonzero(diff))
 
 
 def _usable_cpus() -> int:

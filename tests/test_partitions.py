@@ -351,19 +351,24 @@ class TestDrawKernel:
     @pytest.mark.parametrize("k", [8, 64, 65])
     def test_uniforms_on_and_beside_each_boundary(self, k):
         # outcome of u is the number of cdf entries <= u, as rng.choice's searchsorted gives
-        p = probabilities(k, [0, k // 2, k // 2 + 1, k - 1])
-        cdf = np.cumsum(p)
-        cdf /= cdf[-1]
-        inner = cdf[:-1]
-        u = np.unique(np.concatenate([
-            [0.0], inner, np.nextafter(inner, 0.0), np.nextafter(inner, 1.0),
-        ]))
-        u = u[(u >= 0.0) & (u < 1.0)]
-        outcome = cdf.searchsorted(u, side="right")
-        draws, mask = np.empty((2, 1), dtype=np.uint8), np.empty((2, 1), dtype=bool)
-        for a, b, oa, ob in zip(u, u[1:], outcome, outcome[1:]):
-            got = pt._count_distinct(cdf, np.array([[a], [b]]), draws, mask)
-            assert got == float(oa != ob), (a, b)
+        diff = np.empty(1, dtype=np.intp if k > pt.MC_COUNTED_OUTCOMES else np.uint8)
+        u, mask = np.empty(1), np.empty(1, dtype=bool)
+        # with no zero outcome, the lowest uniform against the highest is outcome 0 against
+        # k - 1: at k = 64, the widest difference the uint8 count makes
+        for zeros in ([0, k // 2, k // 2 + 1, k - 1], []):
+            cdf = np.cumsum(probabilities(k, zeros))
+            cdf /= cdf[-1]
+            inner = cdf[:-1]
+            draws = np.unique(np.concatenate([
+                [0.0], inner, np.nextafter(inner, 0.0), np.nextafter(inner, 1.0),
+            ]))
+            draws = draws[(draws >= 0.0) & (draws < 1.0)]
+            outcome = cdf.searchsorted(draws, side="right")
+            assert zeros or list(outcome[[0, -1]]) == [0, k - 1]
+            for i, j in [(i, i + 1) for i in range(draws.size - 1)] + [(0, -1), (-1, 0)]:
+                rows = [lambda out, x=x: out.fill(draws[x]) for x in (i, j)]  # as Generator.random
+                got = pt._count_tile(cdf, rows, u, diff, mask)
+                assert got == float(outcome[i] != outcome[j]), (draws[i], draws[j])
 
 
 class TestWorkerSplit:
@@ -399,14 +404,14 @@ class TestWorkerSplit:
 
     def test_worker_error_reaches_the_caller(self, monkeypatch):
         monkeypatch.setattr(pt, "_usable_cpus", lambda: 2)
-        real = pt._count_distinct
+        real = pt._count_tile
 
-        def failing(cdf, u, draws, mask):
+        def failing(cdf, rows, u, diff, mask):
             if threading.current_thread() is not threading.main_thread():
                 raise MemoryError("worker")
-            return real(cdf, u, draws, mask)
+            return real(cdf, rows, u, diff, mask)
 
-        monkeypatch.setattr(pt, "_count_distinct", failing)
+        monkeypatch.setattr(pt, "_count_tile", failing)
         with pytest.raises(MemoryError, match="worker"):
             pt.distinct_pair_fraction(probabilities(8), pt.MC_CHUNK, rng_for(1))
 
@@ -433,7 +438,7 @@ class TestMemoryBound:
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_peak_is_one_tile_per_worker(self, monkeypatch, cpus):
-        # per pair: two float64 uniforms, two uint8 outcomes and two bool masks
+        # per pair: one float64 uniform, one uint8 outcome difference and one bool mask
         monkeypatch.setattr(pt, "_usable_cpus", lambda: cpus)
         p, peaks = probabilities(8), []
         # untraced warm-up: first-call allocations (imports, caches) stay out of the peaks
@@ -446,6 +451,6 @@ class TestMemoryBound:
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-        assert max(peaks) <= cpus * pt.MC_TILE * 20 + 64 * 1024
+        assert max(peaks) <= cpus * pt.MC_TILE * 10 + 64 * 1024
         # the same at both trial counts, up to a few hundred bytes of Python objects
         assert abs(peaks[1] - peaks[0]) <= 64 * 1024
